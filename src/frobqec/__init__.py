@@ -64,7 +64,6 @@ from .weyl import (
     weyl_element,
     weyl_inv,
     weyl_mul,
-    weyl_pow,
 )
 from .analysis import (
     CensusReport,

@@ -44,6 +44,7 @@ from .rings import (
 from .spaces import (
     PhaseSpace,
     Submodule,
+    _check_carrier,
     identity_form,
     is_self_orthogonal,
     make_space,
@@ -134,6 +135,7 @@ class Scenario:
         doc = self._space_doc
         k = _expect_int(doc, "k")
         n = _expect_int(doc, "n")
+        _check_carrier(self.ring, k, n)
         if "form" in doc:
             rows = doc["form"]
             if not isinstance(rows, list):
@@ -222,8 +224,10 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(handle)
     except OSError as exc:
         raise InvalidInputError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to parse
         raise InvalidInputError(f"scenario {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError(f"scenario {path} is nested too deeply") from exc
     return scenario_from_doc(doc)
 
 
@@ -236,6 +240,16 @@ def _vec_doc(ring: RingSpec, v) -> list:
 
 def _weyl_doc(ring: RingSpec, e: WeylElement) -> dict:
     return {"turn": str(e.turn), "a": _vec_doc(ring, e.shift), "b": _vec_doc(ring, e.phase)}
+
+
+def _offending_doc(ring: RingSpec, group) -> dict | None:
+    """The first generator pair that fails to commute mod scalars, or
+    None for an abelian-mod-scalars group."""
+    pair = offending_pair(group)
+    if pair is None:
+        return None
+    g, h, value = pair
+    return {"g": _weyl_doc(ring, g), "h": _weyl_doc(ring, h), "omega": str(value)}
 
 
 def _witness_doc(space: PhaseSpace, pair) -> dict | None:
@@ -304,27 +318,22 @@ def cmd_code(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
 def cmd_stabiliser(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
     space = scenario.space
     group = group_closure(space, scenario.require_stabiliser_generators())
-    ring = space.ring
+    offending = _offending_doc(space.ring, group)
     report = {
         "order": len(group),
         "scalar_turns": [str(t) for t in group.scalar_turns],
-        "abelian_mod_scalars": is_abelian_mod_scalars(group),
+        "abelian_mod_scalars": offending is None,
     }
     lines = [
         f"group order: {len(group)}",
         f"scalar turns: {', '.join(report['scalar_turns'])}",
     ]
-    if not report["abelian_mod_scalars"]:
-        g, h, value = offending_pair(group)
-        report["offending"] = {
-            "g": _weyl_doc(ring, g),
-            "h": _weyl_doc(ring, h),
-            "omega": str(value),
-        }
+    if offending is not None:
+        report["offending"] = offending
         lines.append("abelian mod scalars: no")
         lines.append(
-            f"offending pair: {_weyl_doc(ring, g)} vs {_weyl_doc(ring, h)}"
-            f" with omega {value}"
+            f"offending pair: {offending['g']} vs {offending['h']}"
+            f" with omega {offending['omega']}"
         )
         return EXIT_NEGATIVE, report, lines
 
@@ -408,17 +417,10 @@ def cmd_census(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
 def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
     space = scenario.space
     group = group_closure(space, scenario.require_stabiliser_generators())
-    if not is_abelian_mod_scalars(group):
-        g, h, value = offending_pair(group)
-        report = {
-            "abelian_mod_scalars": False,
-            "offending": {
-                "g": _weyl_doc(space.ring, g),
-                "h": _weyl_doc(space.ring, h),
-                "omega": str(value),
-            },
-        }
-        return EXIT_NEGATIVE, report, [f"not abelian mod scalars, omega {value}"]
+    offending = _offending_doc(space.ring, group)
+    if offending is not None:
+        report = {"abelian_mod_scalars": False, "offending": offending}
+        return EXIT_NEGATIVE, report, [f"not abelian mod scalars, omega {offending['omega']}"]
 
     fixed = phase_fix(group)
     exact = code_dimension(space, fixed)

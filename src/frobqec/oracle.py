@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DiagnosticError, InvalidInputError, ResourceLimitError
-from .rings import Turn
 from .spaces import PhaseSpace, form_many
 from .weyl import StabiliserGroup, WeylElement, commutator
 
@@ -24,10 +23,6 @@ GROUP_BOUND = 4096
 RANK_THRESHOLD = 1e-8
 DEAD_BAND_FLOOR = 1e-10
 COMMUTATION_TOL = 1e-9
-
-
-def turn_phase(t: Turn) -> complex:
-    return t.as_complex()
 
 
 def _shift_permutation(space: PhaseSpace, shift) -> np.ndarray:
@@ -63,7 +58,7 @@ def apply_weyl(space: PhaseSpace, e: WeylElement, state: np.ndarray) -> np.ndarr
     perm = _shift_permutation(space, e.shift)
     moved = state[perm] if state.ndim == 1 else state[perm, :]
     phases = _phase_column(space, e.phase)[perm]
-    scalar = turn_phase(e.turn)
+    scalar = e.turn.as_complex()
     if state.ndim == 1:
         return scalar * phases * moved
     return scalar * phases[:, None] * moved
@@ -83,7 +78,7 @@ def numeric_commutation_check(space: PhaseSpace, e1: WeylElement, e2: WeylElemen
     basis = np.eye(space.size, dtype=complex)
     forward = apply_weyl(space, e1, apply_weyl(space, e2, basis))
     backward = apply_weyl(space, e2, apply_weyl(space, e1, basis))
-    scalar = turn_phase(commutator(space, e1, e2))
+    scalar = commutator(space, e1, e2).as_complex()
     return bool(np.max(np.abs(forward - scalar * backward)) < tol)
 
 

@@ -218,9 +218,10 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     _check_modulus(m)
     if not isinstance(e, int) or e < 1:
         raise InvalidInputError(f"chain length must be a positive integer, got {e!r}")
+    # m >= 2, so a long chain is refused before m**e is formed.
+    if e >= MAX_RING_SIZE.bit_length() or m**e > MAX_RING_SIZE:
+        raise ResourceLimitError(f"chain ring size {m}^{e} exceeds {MAX_RING_SIZE}")
     size = m**e
-    if size > MAX_RING_SIZE:
-        raise ResourceLimitError(f"chain ring size {size} exceeds {MAX_RING_SIZE}")
     powers = m ** np.arange(e, dtype=np.int64)
     coeffs = (np.arange(size, dtype=np.int64)[:, None] // powers[None, :]) % m
 

@@ -120,8 +120,7 @@ def make_space(ring: RingSpec, k: int, n: int, form) -> PhaseSpace:
     Injectivity reduces to a trivial left kernel of the form matrix,
     which is scanned exhaustively over R^k.
     """
-    if not isinstance(k, int) or not isinstance(n, int) or k < 1 or n < 1:
-        raise InvalidInputError(f"k and n must be positive integers, got {k!r}, {n!r}")
+    _check_carrier(ring, k, n)
     form_t = tuple(tuple(int(x) for x in row) for row in form)
     if len(form_t) != k or any(len(row) != k for row in form_t):
         raise InvalidInputError(f"form must be a {k} x {k} matrix")
@@ -134,14 +133,24 @@ def make_space(ring: RingSpec, k: int, n: int, form) -> PhaseSpace:
             if form_t[i][j] != form_t[j][i]:
                 raise InvalidInputError("form must be symmetric")
 
-    bound = ambient_bound()
-    size = ring.size ** (k * n)
-    if size > bound:
-        raise ResourceLimitError(f"carrier size {size} exceeds the bound {bound}")
-
     space = PhaseSpace(ring=ring, k=k, n=n, form=form_t)
     _check_perfect(ring, k, form_t)
     return space
+
+
+def _check_carrier(ring: RingSpec, k: int, n: int) -> None:
+    """Refuse k and n unless they are positive integers with |R|^(k*n)
+    inside the ambient bound.
+
+    Once k*n reaches the bound's bit length even |R| = 2 overflows it, so
+    a huge k*n is refused without forming the power or printing k*n.
+    """
+    if not isinstance(k, int) or not isinstance(n, int) or k < 1 or n < 1:
+        raise InvalidInputError(f"k and n must be positive integers, got {k!r}, {n!r}")
+    bound = ambient_bound()
+    rank = k * n
+    if rank >= bound.bit_length() or ring.size**rank > bound:
+        raise ResourceLimitError(f"carrier size {ring.size}^({k}*{n}) exceeds the bound {bound}")
 
 
 def _check_perfect(ring: RingSpec, k: int, form: tuple[tuple[int, ...], ...]) -> None:
@@ -320,7 +329,8 @@ def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
 
     The probe set must span the code over the ring, not just additively:
     a vector can pair trivially with g yet not with r*g, so scalar
-    multiples of the generators are probed explicitly.
+    multiples of the generators are probed explicitly.  The complement
+    of an additive-only code is itself only additively closed.
     """
     if code.doubled:
         raise InvalidInputError("orthogonal complements live in the plain space")
@@ -349,7 +359,7 @@ def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
         nums = eps[form_many(space, block, probe_arr)] % den
         good = np.flatnonzero((nums == 0).all(axis=1))
         kept.extend(tuple(int(c) for c in block[i]) for i in good)
-    return Submodule(space, kept, kept, doubled=False, r_closed=True)
+    return Submodule(space, kept, kept, doubled=False, r_closed=code.r_closed)
 
 
 def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:

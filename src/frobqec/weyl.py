@@ -10,10 +10,16 @@ a phase, so the whole calculus closes over exact turns:
 where <b, a'> is the phase pairing turn.  Commutators land in the
 scalars; their value is the alternating bicharacter ``omega`` of the
 label pairs, which is what stabiliser analysis runs on.
+
+Group closure and phase fixing share one label walk: a table of one
+representative element per label, whose Schreier scalars generate the
+scalar subgroup Z.  So |G| = |L| * |Z| is known, and the group bound
+checked, before any table is allocated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,15 +82,6 @@ def weyl_inv(space: PhaseSpace, e: WeylElement) -> WeylElement:
     )
 
 
-def weyl_pow(space: PhaseSpace, e: WeylElement, count: int) -> WeylElement:
-    if count < 0:
-        return weyl_pow(space, weyl_inv(space, e), -count)
-    acc = identity_element(space)
-    for _ in range(count):
-        acc = weyl_mul(space, acc, e)
-    return acc
-
-
 def omega(space: PhaseSpace, p: LabelPair, q: LabelPair) -> Turn:
     """The commutation bicharacter on label pairs.
 
@@ -143,9 +140,60 @@ class StabiliserGroup:
         return f"<stabiliser group of order {len(self)}>"
 
 
+def _powers(space: PhaseSpace, g: WeylElement, count: int) -> list[WeylElement]:
+    """g^0, g^1, ..., g^count."""
+    out = [identity_element(space)]
+    for _ in range(count):
+        out.append(weyl_mul(space, out[-1], g))
+    return out
+
+
+def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
+    """Grow a table of one representative element per label, one
+    generator at a time.
+
+    A generator g with label c first lands in the table at its least
+    multiple d*c and adds the cosets L + j*c (j < d) as rep(l) * g^j.
+    By Schreier's lemma its scalar g^d * rep(d*c)^-1 and its omega with
+    the earlier table-growing generators generate the scalar group Z,
+    cyclic of order the lcm of their denominators.  The partial
+    |L| * |Z| only grows; it is checked against the bound before each
+    larger table is built.  ``retune`` first moves each turn t to
+    (d*t - scalar).root(d), which zeroes that generator's scalar.
+    Returns the table, the generators that grew it, and |Z|.
+    """
+    ident = identity_element(space)
+    table: dict[Vector, WeylElement] = {join_label(ident.label): ident}
+    grown: list[WeylElement] = []
+    order = 1
+    for g in generators:
+        c = join_label(g.label)
+        d, multiple = 1, c
+        while multiple not in table:
+            multiple = space.add_vec(multiple, c)
+            d += 1
+        target = table[multiple].turn
+        powers = _powers(space, g, d)
+        if retune:
+            g = WeylElement((d * g.turn - powers[d].turn + target).root(d), g.shift, g.phase)
+            powers = _powers(space, g, d)
+        scalars = [powers[d].turn - target]
+        if d > 1:
+            scalars += [omega(space, g.label, h.label) for h in grown]
+        order = math.lcm(order, *(t.denominator for t in scalars))
+        if len(table) * d * order > bound:
+            raise ResourceLimitError(f"group closure exceeded the bound of {bound} elements")
+        if d > 1:
+            products = (weyl_mul(space, e, p) for e in table.values() for p in powers[:d])
+            table = {join_label(x.label): x for x in products}
+            grown.append(g)
+    return table, grown, order
+
+
 def group_closure(space: PhaseSpace, generators,
                   bound: int = DEFAULT_GROUP_BOUND) -> StabiliserGroup:
-    """Multiplicative closure of the generators.
+    """Multiplicative closure of the generators: every label's
+    representative times every scalar of Z.
 
     Every element has finite order (labels are torsion and turns are
     rational), so closing under products alone already yields a group
@@ -155,35 +203,19 @@ def group_closure(space: PhaseSpace, generators,
     for g in gens:
         if len(g.shift) != space.rank or len(g.phase) != space.rank:
             raise InvalidInputError("generator labels do not match the space rank")
-    ident = identity_element(space)
-    elems = {ident}
-    elems.update(gens)
-    frontier = sorted(elems, key=_element_key)
-    while frontier:
-        fresh = set()
-        for x in frontier:
-            for y in elems:
-                for p in (weyl_mul(space, x, y), weyl_mul(space, y, x)):
-                    if p not in elems and p not in fresh:
-                        fresh.add(p)
-        elems.update(fresh)
-        if len(elems) > bound:
-            raise ResourceLimitError(
-                f"group closure exceeded the bound of {bound} elements"
-            )
-        frontier = sorted(fresh, key=_element_key)
+    table, _, order = _label_walk(space, gens, bound, retune=False)
+    elems = [
+        WeylElement(rep.turn + Turn(j, order), rep.shift, rep.phase)
+        for rep in table.values()
+        for j in range(order)
+    ]
     return StabiliserGroup(space, gens, elems)
 
 
 def is_abelian_mod_scalars(s: StabiliserGroup) -> bool:
     """True iff omega vanishes on the generator labels; biadditivity
     extends that to every pair of elements."""
-    gens = s.generators if s.generators else s.elements
-    for i, g in enumerate(gens):
-        for h in gens[i:]:
-            if not omega(s.space, g.label, h.label).is_zero:
-                return False
-    return True
+    return offending_pair(s) is None
 
 
 def offending_pair(s: StabiliserGroup) -> tuple[WeylElement, WeylElement, Turn] | None:
@@ -271,12 +303,12 @@ def phase_fix(s: StabiliserGroup) -> StabiliserGroup:
     """Retune the generators of an abelian-mod-scalars group so the
     closure is scalar-free, preserving the label set.
 
-    The group is rebuilt one label generator at a time: each new label c
-    is lifted with the turn solving d * t + tau0 = turn of the element
-    it must land on, where d is the least multiple of c already covered
-    and tau0 is the pairing phase its turn-zero power accumulates.
-    Adjusting each generator against only its own order can strand
-    scalars in cross relations; the incremental rebuild cannot.
+    This is the label walk of the closure with every generator's turn
+    solved so that its Schreier scalar vanishes: with omega trivial on
+    the labels, no scalar is left to generate.  Generators whose labels
+    are already covered are dropped.  Adjusting each generator against
+    only its own order can strand scalars in cross relations; solving
+    against the table built so far cannot.
     """
     space = s.space
     if s.scalar_free:
@@ -284,38 +316,9 @@ def phase_fix(s: StabiliserGroup) -> StabiliserGroup:
     if not is_abelian_mod_scalars(s):
         raise InvalidInputError("phase fixing needs an abelian-mod-scalars group")
 
-    add = space.add_vec
-    zero_label = join_label((space.zero_vector(), space.zero_vector()))
-    table: dict[Vector, WeylElement] = {zero_label: identity_element(space)}
-    new_gens: list[WeylElement] = []
-
-    for g in s.generators:
-        c = join_label(g.label)
-        if c in table:
-            continue
-        d = 1
-        multiple = c
-        while multiple not in table:
-            multiple = add(multiple, c)
-            d += 1
-        a, b = split_label(space, c)
-        base = WeylElement(TURN_ZERO, a, b)
-        tau0 = weyl_pow(space, base, d).turn
-        target = table[multiple].turn
-        lifted = WeylElement((target - tau0).root(d), a, b)
-
-        powers = [identity_element(space)]
-        for _ in range(d - 1):
-            powers.append(weyl_mul(space, powers[-1], lifted))
-        table = {
-            join_label(prod.label): prod
-            for e in table.values()
-            for prod in (weyl_mul(space, e, p) for p in powers)
-        }
-        new_gens.append(lifted)
-
+    table, new_gens, order = _label_walk(space, s.generators, len(s), retune=True)
     fixed = StabiliserGroup(space, new_gens, table.values())
-    if not fixed.scalar_free:
+    if order != 1:
         raise ConsistencyError("phase fixing left an irreducible scalar")
     if {join_label(e.label) for e in fixed.elements} != {
         join_label(e.label) for e in s.elements

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import frobqec
 from frobqec import InvalidInputError
 from frobqec.cli import main, ring_from_doc, scenario_from_doc
 
@@ -270,3 +275,57 @@ def test_oversized_ring_is_a_resource_bound(tmp_path, capsys):
     doc = {"ring": {"family": "zm", "m": 4097}}
     code, _, err = _run(capsys, "ring", "--scenario", _write(tmp_path, doc))
     assert code == 3
+
+
+def _nested_products(depth):
+    # Built as text: the JSON encoder would hit the same recursion limit.
+    leaf = '{"family": "zm", "m": 2}'
+    ring = leaf
+    for _ in range(depth):
+        ring = f'{{"family": "product", "factors": [{ring}, {leaf}]}}'
+    return f'{{"ring": {ring}}}'
+
+
+@pytest.mark.parametrize(
+    "command, text, expected",
+    [
+        pytest.param(
+            "code",
+            json.dumps({"ring": {"family": "zm", "m": 2},
+                        "space": {"k": 1, "n": 30_000_000},
+                        "code": {"generators": []}}),
+            3,
+            id="carrier-too-long-to-print",
+        ),
+        pytest.param(
+            "code",
+            json.dumps({"ring": {"family": "zm", "m": 2},
+                        "space": {"k": 3000, "n": 1},
+                        "code": {"generators": []}}),
+            3,
+            id="site-rank-too-large-for-a-form",
+        ),
+        pytest.param(
+            "ring", json.dumps({"ring": {"family": "chain", "m": 2, "e": 10**6}}), 3,
+            id="chain-too-long-to-print",
+        ),
+        pytest.param("ring", _nested_products(1500), 2, id="nested-too-deeply"),
+        pytest.param(
+            "ring", '{"ring": {"family": "zm", "m": ' + "7" * 5000 + "}}", 2,
+            id="integer-too-long-to-parse",
+        ),
+    ],
+)
+def test_oversized_documents_end_in_a_documented_exit(tmp_path, command, text, expected):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(frobqec.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobqec.cli", command, "--scenario", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    # No message outgrows the document: sizes are echoed, never expanded.
+    assert len(proc.stderr) < len(text) + 200

@@ -27,18 +27,12 @@ from frobqec import (
     weyl_matrix,
     weyl_mul,
 )
-from frobqec.oracle import matrix_rank_with_dead_band, turn_phase
+from frobqec.oracle import matrix_rank_with_dead_band
 
 from conftest import std_space
 
 U = 2
 T0 = Turn()
-
-
-def test_turn_phase_values():
-    assert abs(turn_phase(Turn(1, 4)) - 1j) < 1e-12
-    assert abs(turn_phase(Turn(1, 2)) + 1) < 1e-12
-    assert abs(turn_phase(T0) - 1) < 1e-12
 
 
 def test_identity_acts_trivially(z4_line):

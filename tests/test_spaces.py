@@ -217,6 +217,18 @@ def test_orthogonal_needs_scalar_probes(f2u_line):
     assert not phase_pairing(f2u_line, (1,), (U,)).is_zero
 
 
+def test_orthogonal_of_additive_code_stays_additive(f2u_line):
+    # C = {0, 1} is only additively closed, and so is C_perp = {0, 1}:
+    # u * 1 pairs non-trivially with 1.  Every turn inside C_perp
+    # vanishes, so it is self-orthogonal.
+    code = additive_module(f2u_line, [(1,)])
+    perp = orthogonal(f2u_line, code)
+    assert perp.elements == ((0,), (1,))
+    assert not perp.r_closed
+    assert f2u_line.scalar_vec(U, (1,)) not in perp
+    assert is_self_orthogonal(f2u_line, perp)
+
+
 def test_orthogonal_of_trivial_code_is_everything(z4_line):
     trivial = submodule_span(z4_line, [])
     assert len(orthogonal(z4_line, trivial)) == z4_line.size

@@ -6,8 +6,11 @@ closed, and the phase fix has to clear scalars that appear in cross
 relations rather than in any single generator's own order.
 """
 
+import random
+
 import pytest
 
+import frobqec.weyl
 from frobqec import (
     ConsistencyError,
     InvalidInputError,
@@ -35,9 +38,11 @@ from frobqec import (
     weyl_element,
     weyl_inv,
     weyl_mul,
-    weyl_pow,
 )
 from frobqec.rings import TURN_ZERO
+from frobqec.weyl import DEFAULT_GROUP_BOUND
+
+from conftest import std_space
 
 U = 2
 T0 = Turn()
@@ -85,18 +90,9 @@ def test_product_is_associative(f2u_line):
                 assert left == right
 
 
-def test_pow_matches_iterated_product(f2u_plane):
-    e = _w(f2u_plane, T0, (1, 0), (U, 0))
-    acc = identity_element(f2u_plane)
-    for count in range(6):
-        assert weyl_pow(f2u_plane, e, count) == acc
-        acc = weyl_mul(f2u_plane, acc, e)
-    assert weyl_pow(f2u_plane, e, -1) == weyl_inv(f2u_plane, e)
-
-
 def test_mixed_generator_squares_to_minus_one(f2u_plane):
     e = _w(f2u_plane, T0, (1, 0), (U, 0))
-    square = weyl_pow(f2u_plane, e, 2)
+    square = weyl_mul(f2u_plane, e, e)
     assert square.turn == Turn(1, 2)
     assert square.shift == f2u_plane.zero_vector()
 
@@ -194,6 +190,97 @@ def test_offending_pair_reports_omega(z4_line):
     g, h, value = offending_pair(s)
     assert value == Turn(3, 4)
     assert (g.label, h.label) == (((1,), (0,)), ((0,), (1,)))
+
+
+def _brute_closure(space, gens, cap):
+    """Reference closure by breadth-first right multiplication with the
+    generators; None as soon as it holds more than ``cap`` elements.
+
+    Every element of a finite group is a positive word in its
+    generators, so this reaches the whole group without the label walk.
+    """
+    seen = {identity_element(space)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = weyl_mul(space, x, g)
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        if len(seen) > cap:
+            return None
+        frontier = fresh
+    return seen
+
+
+def _labels(group):
+    return {join_label(e.label) for e in group.elements}
+
+
+@pytest.mark.parametrize(
+    "ring_name, k, n", [("z2", 1, 2), ("z4", 1, 1), ("f2u", 1, 1), ("z6", 1, 1)]
+)
+def test_walk_matches_brute_force_closure(request, ring_name, k, n):
+    space = std_space(request.getfixturevalue(ring_name), k, n)
+    rng = random.Random(f"{ring_name}-{k}-{n}")
+    turns = (T0, Turn(1, 3), Turn(1, 8))
+    cap = 64
+    seen = {"refused": 0, "fixed": 0, "non_abelian": 0}
+    for _ in range(40):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            a = tuple(rng.randrange(space.ring.size) for _ in range(space.rank))
+            b = tuple(rng.randrange(space.ring.size) for _ in range(space.rank))
+            if rng.random() < 0.5:
+                b = space.zero_vector()
+            gens.append(_w(space, rng.choice(turns), a, b))
+        reference = _brute_closure(space, gens, cap)
+        if reference is None:
+            with pytest.raises(ResourceLimitError):
+                group_closure(space, gens, bound=cap)
+            seen["refused"] += 1
+            continue
+        s = group_closure(space, gens, bound=cap)
+        assert set(s.elements) == reference
+        assert s.generators == tuple(gens)
+        if s.scalar_free:
+            assert phase_fix(s) is s
+        elif not is_abelian_mod_scalars(s):
+            with pytest.raises(InvalidInputError):
+                phase_fix(s)
+            seen["non_abelian"] += 1
+        else:
+            fixed = phase_fix(s)
+            assert fixed.scalar_free
+            assert _labels(fixed) == _labels(s)
+            assert set(fixed.elements) == _brute_closure(space, fixed.generators, cap)
+            seen["fixed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_closure_refuses_the_bound_before_building(z2, monkeypatch):
+    # The full Weyl group of Z_2 on 12 sites has 2^25 elements; the walk
+    # must see that from the label table long before it is built.
+    space = std_space(z2, 1, 12)
+    zero = space.zero_vector()
+    units = [tuple(int(i == j) for j in range(space.rank)) for i in range(space.rank)]
+    gens = [_w(space, T0, e, zero) for e in units] + [_w(space, T0, zero, e) for e in units]
+    limit = 10 * DEFAULT_GROUP_BOUND
+    calls = 0
+    real_mul = frobqec.weyl.weyl_mul
+
+    def counting_mul(*args):
+        nonlocal calls
+        calls += 1
+        assert calls < limit, "closure kept multiplying past 10 * bound"
+        return real_mul(*args)
+
+    monkeypatch.setattr(frobqec.weyl, "weyl_mul", counting_mul)
+    with pytest.raises(ResourceLimitError):
+        group_closure(space, gens)
+    assert 0 < calls < limit
 
 
 # ---------------------------------------------------------------------------
