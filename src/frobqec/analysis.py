@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import Ideal, RingSpec, Turn, nilpotency_index, nilradical
+from .rings import Ideal, RingSpec, Turn, digits, nilpotency_index, nilradical
 from .spaces import (
     PhaseSpace,
     Submodule,
@@ -281,10 +281,11 @@ def _check_isometry_group(space: PhaseSpace, matrices: list[Matrix]) -> None:
     ident = _identity_matrix(ring, k)
     if ident not in members:
         raise ConsistencyError("isometry scan lost the identity")
+    site = [tuple(v) for v in digits(range(ring.size**k), ring.size, k).tolist()]
     for g in matrices:
         # Injectivity scan: a form-preserving map with a kernel vector
         # would contradict perfectness, so any hit is a real failure.
-        images = {apply_matrix(ring, g, v) for v in _site_vectors(ring, k)}
+        images = {apply_matrix(ring, g, v) for v in site}
         if len(images) != ring.size**k:
             raise ConsistencyError(f"matrix {g} preserves the form but is singular")
         if not any(_mat_mul(ring, g, h) == ident for h in matrices):
@@ -292,16 +293,6 @@ def _check_isometry_group(space: PhaseSpace, matrices: list[Matrix]) -> None:
         for h in matrices:
             if _mat_mul(ring, g, h) not in members:
                 raise ConsistencyError("isometries failed to close under products")
-
-
-def _site_vectors(ring: RingSpec, k: int):
-    total = ring.size**k
-    for code in range(total):
-        v = []
-        for _ in range(k):
-            v.append(code % ring.size)
-            code //= ring.size
-        yield tuple(v)
 
 
 def apply_matrix(ring: RingSpec, g: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:

@@ -137,11 +137,8 @@ class Scenario:
         n = _expect_int(doc, "n")
         _check_carrier(self.ring, k, n)
         if "form" in doc:
-            rows = doc["form"]
-            if not isinstance(rows, list):
-                raise InvalidInputError("form must be a list of rows")
             form = tuple(
-                tuple(self.ring.element_from_doc(x) for x in row) for row in rows
+                tuple(self.ring.element_from_doc(x) for x in row) for row in doc["form"]
             )
         else:
             form = identity_form(self.ring, k)
@@ -193,6 +190,9 @@ def scenario_from_doc(doc) -> Scenario:
         if not isinstance(space_doc, dict):
             raise InvalidInputError("space document must be an object")
         _expect_keys(space_doc, {"k", "n", "form"}, "space document", required={"k", "n"})
+        rows = space_doc.get("form", [])
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InvalidInputError("form must be a list of rows")
 
     for name in ("code", "ideal"):
         part = doc.get(name)

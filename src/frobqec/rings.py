@@ -222,12 +222,11 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     if e >= MAX_RING_SIZE.bit_length() or m**e > MAX_RING_SIZE:
         raise ResourceLimitError(f"chain ring size {m}^{e} exceeds {MAX_RING_SIZE}")
     size = m**e
-    powers = m ** np.arange(e, dtype=np.int64)
-    coeffs = (np.arange(size, dtype=np.int64)[:, None] // powers[None, :]) % m
+    coeffs = digits(np.arange(size), m, e)
 
     add = np.zeros((size, size), dtype=np.int64)
     for i in range(e):
-        add += ((coeffs[:, i, None] + coeffs[None, :, i]) % m) * int(powers[i])
+        add += ((coeffs[:, i, None] + coeffs[None, :, i]) % m) * m**i
 
     # Polynomial product truncated at u^e, accumulated one degree at a
     # time to keep the temporaries two dimensional.
@@ -236,9 +235,9 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
         conv = np.zeros((size, size), dtype=np.int64)
         for i in range(deg + 1):
             conv += coeffs[:, i, None] * coeffs[None, :, deg - i]
-        mul += (conv % m) * int(powers[deg])
+        mul += (conv % m) * m**deg
 
-    neg = ((-coeffs) % m) @ powers
+    neg = indices_of((-coeffs) % m, m)
     spec = RingSpec(
         size=size,
         add_table=add,
@@ -343,7 +342,47 @@ def _validate_ring(spec: RingSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# ideals
+# index spans and ideals
+
+def digits(indices, base: int, width: int) -> np.ndarray:
+    """Coordinate rows of mixed-radix indices, digit 0 fastest."""
+    powers = base ** np.arange(width, dtype=np.int64)
+    return (np.asarray(indices, dtype=np.int64).reshape(-1, 1) // powers) % base
+
+
+def indices_of(rows, base: int) -> np.ndarray:
+    """Inverse of ``digits``: the index of each coordinate row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ base ** np.arange(rows.shape[-1], dtype=np.int64)
+
+
+def index_span(ring: RingSpec, width: int, items, start=None) -> tuple[np.ndarray, list[int]]:
+    """Subgroup of (R^width, +) generated by the subgroup ``start`` and
+    ``items`` (sorted indices as in ``digits``), and the positions of the
+    items that grew it.  An item y outside the group M so far adds the
+    disjoint cosets M + j*y, 0 < j < d for the least d with d*y in M."""
+    base = ring.size
+    powers = base ** np.arange(width, dtype=np.int64)
+    group = np.array([ring.zero * int(powers.sum())]) if start is None else start
+    coords = digits(group, base, width)
+    items = np.asarray(items, dtype=np.int64).reshape(-1)
+    pending = np.flatnonzero(~_contains(group, items))
+    grew: list[int] = []
+    while pending.size:
+        grew.append(int(pending[0]))
+        multiples = [digits(items[pending[0]], base, width)[0]]
+        while multiples[-1] @ powers not in group:
+            multiples.append(ring.add_table[multiples[-1], multiples[0]])
+        cosets = ring.add_table[coords, np.array(multiples[:-1])[:, None, :]]
+        coords = np.concatenate([coords, cosets.reshape(-1, width)])
+        group = np.sort(coords @ powers)
+        pending = pending[~_contains(group, items[pending])]
+    return group, grew
+
+
+def _contains(group: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return group.take(group.searchsorted(values), mode="clip") == values
+
 
 @dataclass(frozen=True, eq=False)
 class Ideal:
@@ -363,31 +402,11 @@ class Ideal:
         return len(self.elements)
 
 
-def close_under_addition(add, zero, items):
-    """Subgroup of a finite abelian group generated by ``items``.
-
-    Grows one generator at a time: the subgroup generated by a subgroup
-    S and an element g is the union of the cosets S + j*g.
-    """
-    closed = {zero}
-    for g in items:
-        if g in closed:
-            continue
-        multiples = []
-        c = g
-        while c not in closed:
-            multiples.append(c)
-            c = add(c, g)
-        closed.update(add(s, m) for s in list(closed) for m in multiples)
-    return closed
-
-
 def ideal_span(ring: RingSpec, generators) -> Ideal:
-    """Smallest ideal containing the generators: the additive closure of
+    """Smallest ideal containing the generators: the additive span of
     all ring multiples of them."""
-    multiples = {ring.mul(r, g) for g in generators for r in ring.elements()}
-    elems = close_under_addition(ring.add, ring.zero, sorted(multiples))
-    ideal = Ideal(ring, tuple(sorted(elems)))
+    elems, _ = index_span(ring, 1, ring.mul_table[:, list(generators)].T)
+    ideal = Ideal(ring, tuple(elems.tolist()))
     _check_ideal(ideal)
     return ideal
 
@@ -416,11 +435,11 @@ def nilpotency_index(ideal: Ideal) -> int:
         raise InvalidInputError(
             f"element {ring.element_str(bad[0])} of the ideal is not nilpotent"
         )
-    power = set(ideal.elements) | {ring.zero}
+    elems = np.asarray(ideal.elements, dtype=np.int64)
+    power = np.union1d(elems, [ring.zero])
     h = 1
-    while power != {ring.zero}:
-        products = {ring.mul(p, x) for p in power for x in ideal.elements}
-        power = close_under_addition(ring.add, ring.zero, sorted(products))
+    while power.size > 1:
+        power, _ = index_span(ring, 1, ring.mul_table[np.ix_(power, elems)])
         h += 1
         if h > ring.size + 1:
             raise ConsistencyError("nilpotency index failed to terminate")
@@ -462,11 +481,7 @@ def element_to_doc(family: dict, x: int):
         return int(x)
     if kind == "chain":
         m, e = family["m"], family["e"]
-        digits = []
-        for _ in range(e):
-            digits.append(int(x % m))
-            x //= m
-        return digits
+        return [int(x) // m**i % m for i in range(e)]
     if kind == "product":
         left, right = family["factors"]
         s2 = family_size(right)
@@ -486,10 +501,7 @@ def element_from_doc(family: dict, doc) -> int:
             raise InvalidInputError(f"expected {e} coefficients, got {doc!r}")
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in doc):
             raise InvalidInputError(f"coefficients must be integers, got {doc!r}")
-        x = 0
-        for c in reversed(doc):
-            x = x * m + (c % m)
-        return x
+        return sum(c % m * m**i for i, c in enumerate(doc))
     if kind == "product":
         left, right = family["factors"]
         if not isinstance(doc, list) or len(doc) != 2:

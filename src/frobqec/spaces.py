@@ -5,9 +5,10 @@ V = R^k.  A symmetric k x k matrix over R gives the per-site bilinear
 form; it extends to the whole space as a sum over sites.  Composing the
 form with the ring character yields the phase pairing, an exact turn.
 
-Vectors are plain tuples of carrier indices, coordinate 0 fastest.  The
-heavy sweeps (orthogonal complements, pairwise pairing tables) gather
-through the ring tables with numpy so exhaustive checks stay cheap.
+Vectors are plain tuples of carrier indices, coordinate 0 fastest.  Spans
+and the submodule census run on their mixed-radix indices: one engine,
+``rings.index_span``, grows a sorted index array by whole cosets.  The
+heavy sweeps gather through the ring tables with numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import RingSpec, Turn, close_under_addition
+from .rings import RingSpec, Turn, digits, index_span, indices_of
 
 AMBIENT_BOUND = 1 << 20
 ENV_AMBIENT_BOUND = "FROBQEC_MAX_CARRIER"
@@ -66,8 +67,7 @@ class PhaseSpace:
     @cached_property
     def coords(self) -> np.ndarray:
         """(size, rank) matrix of every vector, row i = vector_from_index(i)."""
-        powers = np.array(self._powers, dtype=np.int64)
-        mat = (np.arange(self.size, dtype=np.int64)[:, None] // powers[None, :]) % self.ring.size
+        mat = digits(np.arange(self.size), self.ring.size, self.rank)
         mat.setflags(write=False)
         return mat
 
@@ -155,8 +155,7 @@ def _check_carrier(ring: RingSpec, k: int, n: int) -> None:
 
 def _check_perfect(ring: RingSpec, k: int, form: tuple[tuple[int, ...], ...]) -> None:
     m = ring.size
-    powers = m ** np.arange(k, dtype=np.int64)
-    site = (np.arange(m**k, dtype=np.int64)[:, None] // powers[None, :]) % m
+    site = digits(np.arange(m**k), m, k)
     add, mul = ring.add_table, ring.mul_table
     nonzero_row = np.zeros(m**k, dtype=bool)
     for q in range(k):
@@ -167,9 +166,9 @@ def _check_perfect(ring: RingSpec, k: int, form: tuple[tuple[int, ...], ...]) ->
     kernel = np.flatnonzero(~nonzero_row)
     if kernel.size != 1:
         witness = int(kernel[1] if kernel[0] == 0 else kernel[0])
-        digits = tuple(int(site[witness, j]) for j in range(k))
         raise InvalidInputError(
-            f"form is not perfect: site vector {digits} pairs trivially with everything"
+            f"form is not perfect: site vector {tuple(site[witness].tolist())} "
+            "pairs trivially with everything"
         )
 
 
@@ -196,10 +195,7 @@ def phase_pairing(space: PhaseSpace, v: Vector, w: Vector) -> Turn:
 
 
 def _vector_array(space: PhaseSpace, vectors) -> np.ndarray:
-    arr = np.asarray(list(vectors), dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr.reshape(0, space.rank)
-    return arr
+    return np.asarray(list(vectors), dtype=np.int64).reshape(-1, space.rank)
 
 
 def form_many(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -284,35 +280,28 @@ def _width(space: PhaseSpace, doubled: bool) -> int:
     return 2 * space.rank if doubled else space.rank
 
 
-def _add_fn(space: PhaseSpace):
-    add = space.ring.add_table
-    return lambda v, w: tuple(int(add[a, b]) for a, b in zip(v, w))
+def _span(space: PhaseSpace, generators, doubled: bool, r_closed: bool) -> Submodule:
+    gens = [tuple(g) for g in generators]
+    width = _width(space, doubled)
+    for g in gens:
+        _check_vector(space, g, width)
+    ring = space.ring
+    rows = np.asarray(gens, dtype=np.int64).reshape(-1, width)
+    if r_closed:
+        rows = ring.mul_table[:, rows].reshape(-1, width)
+    group, _ = index_span(ring, width, indices_of(rows, ring.size))
+    elems = map(tuple, digits(group, ring.size, width).tolist())
+    return Submodule(space, gens, elems, doubled=doubled, r_closed=r_closed)
 
 
 def submodule_span(space: PhaseSpace, generators, *, doubled: bool = False) -> Submodule:
     """Smallest scalar-closed submodule containing the generators."""
-    gens = [tuple(g) for g in generators]
-    width = _width(space, doubled)
-    for g in gens:
-        _check_vector(space, g, width)
-    mul = space.ring.mul_table
-    multiples = sorted(
-        {tuple(int(mul[r, a]) for a in g) for g in gens for r in space.ring.elements()}
-    )
-    zero = (space.ring.zero,) * width
-    elems = close_under_addition(_add_fn(space), zero, multiples)
-    return Submodule(space, gens, elems, doubled=doubled, r_closed=True)
+    return _span(space, generators, doubled, r_closed=True)
 
 
 def additive_module(space: PhaseSpace, generators, *, doubled: bool = False) -> Submodule:
     """Additive closure only; used for label sets of operator groups."""
-    gens = [tuple(g) for g in generators]
-    width = _width(space, doubled)
-    for g in gens:
-        _check_vector(space, g, width)
-    zero = (space.ring.zero,) * width
-    elems = close_under_addition(_add_fn(space), zero, sorted(set(gens)))
-    return Submodule(space, gens, elems, doubled=doubled, r_closed=False)
+    return _span(space, generators, doubled, r_closed=False)
 
 
 def _check_vector(space: PhaseSpace, v: Vector, width: int | None = None) -> None:
@@ -334,20 +323,12 @@ def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
     """
     if code.doubled:
         raise InvalidInputError("orthogonal complements live in the plain space")
+    m = space.ring.size
     if code.r_closed:
-        mul = space.ring.mul_table
-        probes = sorted(
-            {
-                tuple(int(mul[r, a]) for a in g)
-                for g in code.generators
-                for r in space.ring.elements()
-            }
-        )
+        multiples = space.ring.mul_table[:, _vector_array(space, code.generators)]
+        probes = digits(np.unique(indices_of(multiples, m)), m, space.rank)
     else:
-        probes = list(code.elements)
-    if not probes:
-        probes = [space.zero_vector()]
-    probe_arr = _vector_array(space, probes)
+        probes = _vector_array(space, code.elements)
 
     den = space.ring.eps_den
     eps = space.ring.eps_num
@@ -356,7 +337,7 @@ def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
     coords = space.coords
     for start in range(0, space.size, chunk):
         block = coords[start : start + chunk]
-        nums = eps[form_many(space, block, probe_arr)] % den
+        nums = eps[form_many(space, block, probes)] % den
         good = np.flatnonzero((nums == 0).all(axis=1))
         kept.extend(tuple(int(c) for c in block[i]) for i in good)
     return Submodule(space, kept, kept, doubled=False, r_closed=code.r_closed)
@@ -384,13 +365,14 @@ def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:
 
 def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
                          max_elems: int | None = None) -> list[Submodule]:
-    """Every scalar-closed submodule with at most ``max_elems`` vectors.
-
-    Breadth-first over generator extensions with canonical
-    deduplication; the ambient must stay at desk scale.
+    """Every scalar-closed submodule with at most ``max_elems`` vectors,
+    breadth-first from M to M + Rx over the distinct cyclic submodules;
+    |M + Rx| = |M| |R| / #{r : r*x in M} refuses a candidate over the
+    cap before it is built.  The ambient must stay at desk scale.
     """
+    ring = space.ring
     width = _width(space, doubled)
-    ambient_size = space.ring.size**width
+    ambient_size = ring.size**width
     if ambient_size > (1 << 16):
         raise ResourceLimitError(
             f"submodule enumeration over {ambient_size} ambient vectors is out of bounds"
@@ -398,26 +380,34 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
     if max_elems is None:
         max_elems = ambient_size
 
-    m = space.ring.size
-    powers = m ** np.arange(width, dtype=np.int64)
-    coords = (np.arange(ambient_size, dtype=np.int64)[:, None] // powers[None, :]) % m
-    ambient = [tuple(int(c) for c in row) for row in coords]
+    # Rx = Ry iff y = u*x for a unit u (units of R / ann(x) lift to a
+    # finite ring), so the least index of each unit orbit names Rx once.
+    coords = digits(np.arange(ambient_size), ring.size, width)
+    least = np.arange(ambient_size)
+    for u in np.flatnonzero((ring.mul_table == ring.one).any(axis=1)):
+        np.minimum(least, indices_of(ring.mul_table[u][coords], ring.size), out=least)
+    reps = np.flatnonzero(least == np.arange(ambient_size))
+    multiples = indices_of(ring.mul_table[:, coords[reps]], ring.size)
 
-    trivial = submodule_span(space, [], doubled=doubled)
-    found: dict[tuple, Submodule] = {trivial.elements: trivial}
-    queue = [trivial]
-    while queue:
-        current = queue.pop(0)
-        for x in ambient:
-            if x in current:
-                continue
-            bigger = submodule_span(
-                space, list(current.generators) + [x], doubled=doubled
-            )
-            if len(bigger) > max_elems:
-                continue
-            key = bigger.elements
-            if key not in found:
-                found[key] = bigger
-                queue.append(bigger)
-    return sorted(found.values(), key=lambda s: (len(s), s.elements))
+    trivial, _ = index_span(ring, width, [])
+    found = {trivial.tobytes()}
+    queue = [(trivial, ())]
+    for group, gens in queue:
+        inside = np.zeros(ambient_size, dtype=bool)
+        inside[group] = True
+        hits = inside[multiples].sum(axis=0)
+        sizes = group.size * ring.size // hits
+        todo = np.flatnonzero((hits < ring.size) & (sizes <= max_elems))
+        while todo.size:
+            bigger, _ = index_span(ring, width, multiples[:, todo[0]], start=group)
+            if bigger.tobytes() not in found:
+                found.add(bigger.tobytes())
+                queue.append((bigger, gens + (int(reps[todo[0]]),)))
+            # M + Ry lies in M + Rx when y does, and equals it at equal size.
+            todo = todo[~(np.isin(reps[todo], bigger) & (sizes[todo] == bigger.size))]
+    modules = [
+        Submodule(space, map(tuple, coords[list(gens)].tolist()),
+                  map(tuple, coords[group].tolist()), doubled=doubled, r_closed=True)
+        for group, gens in queue
+    ]
+    return sorted(modules, key=lambda s: (len(s), s.elements))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import TURN_ZERO, Turn, turn_sort_key
+from .rings import TURN_ZERO, Turn, index_span, indices_of, turn_sort_key
 from .spaces import (
     PhaseSpace,
     Submodule,
@@ -219,10 +219,15 @@ def is_abelian_mod_scalars(s: StabiliserGroup) -> bool:
 
 
 def offending_pair(s: StabiliserGroup) -> tuple[WeylElement, WeylElement, Turn] | None:
-    """First generator pair with a non-trivial commutation scalar."""
+    """First generator pair with a non-trivial commutation scalar.  A
+    generator whose label lies in the span of earlier labels is skipped:
+    by biadditivity and antisymmetry, no first non-zero pair holds it."""
     gens = s.generators if s.generators else s.elements
-    for i, g in enumerate(gens):
-        for h in gens[i:]:
+    labels = indices_of([join_label(g.label) for g in gens], s.space.ring.size)
+    _, grew = index_span(s.space.ring, 2 * s.space.rank, labels)
+    kept = [gens[i] for i in grew]
+    for i, g in enumerate(kept):
+        for h in kept[i + 1 :]:
             value = omega(s.space, g.label, h.label)
             if not value.is_zero:
                 return (g, h, value)

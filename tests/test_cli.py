@@ -311,6 +311,14 @@ def _nested_products(depth):
         ),
         pytest.param("ring", _nested_products(1500), 2, id="nested-too-deeply"),
         pytest.param(
+            "code",
+            json.dumps({"ring": {"family": "zm", "m": 4},
+                        "space": {"k": 2, "n": 1, "form": [[1, 0], 5]},
+                        "code": {"generators": []}}),
+            2,
+            id="form-row-not-a-list",
+        ),
+        pytest.param(
             "ring", '{"ring": {"family": "zm", "m": ' + "7" * 5000 + "}}", 2,
             id="integer-too-long-to-parse",
         ),

@@ -1,12 +1,16 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobqec import (
     InvalidInputError,
     ResourceLimitError,
     Turn,
+    additive_module,
     ideal_span,
     make_chain_ring,
     make_product,
@@ -14,9 +18,12 @@ from frobqec import (
     nilpotency_index,
     nilradical,
     ring_pairing,
+    submodule_span,
     verify_generating_character,
 )
-from frobqec.rings import close_under_addition, element_from_doc, element_to_doc
+from frobqec.rings import digits, element_from_doc, element_to_doc, index_span, indices_of
+
+from conftest import std_space
 
 U = 2  # index of u in the chain(2, 2) carrier: coefficients (0, 1)
 
@@ -168,11 +175,101 @@ def test_element_from_doc_rejects_junk(z4, f2u, z6):
         element_from_doc({"family": "weird"}, 0)
 
 
+# ---------------------------------------------------------------------------
+# additive spans
+
+def _close_under_addition(add, zero, items):
+    """Reference: subgroup generated by ``items``, one generator at a
+    time, as the union of the cosets S + j*g of the subgroup S so far."""
+    closed = {zero}
+    for g in items:
+        if g in closed:
+            continue
+        multiples = []
+        c = g
+        while c not in closed:
+            multiples.append(c)
+            c = add(c, g)
+        closed.update(add(s, m) for s in list(closed) for m in multiples)
+    return closed
+
+
 def test_close_under_addition_grows_cosets():
-    add = lambda x, y: (x + y) % 12
-    assert close_under_addition(add, 0, [4]) == {0, 4, 8}
-    assert close_under_addition(add, 0, [4, 6]) == {0, 2, 4, 6, 8, 10}
-    assert close_under_addition(add, 0, []) == {0}
+    z12 = make_zm(12)
+    assert index_span(z12, 1, [4])[0].tolist() == [0, 4, 8]
+    assert index_span(z12, 1, [4, 6])[0].tolist() == [0, 2, 4, 6, 8, 10]
+    assert index_span(z12, 1, [])[0].tolist() == [0]
+    # Only items outside the span so far grow it.
+    assert index_span(z12, 1, [0, 4, 8, 6, 2])[1] == [1, 3]
+
+
+def test_digits_round_trip():
+    rows = digits(np.arange(36), 6, 2)
+    assert rows[:3].tolist() == [[0, 0], [1, 0], [2, 0]]
+    assert rows[7].tolist() == [1, 1]
+    assert indices_of(rows, 6).tolist() == list(range(36))
+
+
+def _tuple_add(ring):
+    return lambda v, w: tuple(ring.add(a, b) for a, b in zip(v, w))
+
+
+@pytest.mark.parametrize("ring_name", ["z4", "f2u", "z6", "z2z2"])
+def test_spans_match_the_tuple_reference(request, ring_name):
+    ring = make_product(make_zm(2), make_zm(2)) if ring_name == "z2z2" else (
+        request.getfixturevalue(ring_name)
+    )
+    space = std_space(ring, 1, 2)
+    rng = random.Random(20260822)
+    for doubled, width in ((False, 2), (True, 4)):
+        zero = (ring.zero,) * width
+        for _ in range(25):
+            gens = [tuple(rng.randrange(ring.size) for _ in range(width))
+                    for _ in range(rng.randrange(4))]
+            multiples = sorted({tuple(ring.mul(r, c) for c in g)
+                                for g in gens for r in ring.elements()})
+            span = submodule_span(space, gens, doubled=doubled)
+            expected = _close_under_addition(_tuple_add(ring), zero, multiples)
+            assert span.elements == tuple(sorted(expected))
+            module = additive_module(space, gens, doubled=doubled)
+            expected = _close_under_addition(_tuple_add(ring), zero, sorted(set(gens)))
+            assert module.elements == tuple(sorted(expected))
+    for _ in range(25):
+        gens = [rng.randrange(ring.size) for _ in range(rng.randrange(3))]
+        multiples = sorted({ring.mul(r, g) for g in gens for r in ring.elements()})
+        expected = _close_under_addition(ring.add, ring.zero, multiples)
+        assert ideal_span(ring, gens).elements == tuple(sorted(expected))
+
+
+_PROPERTY_RINGS = [make_zm(4), make_zm(6), make_chain_ring(2, 2), make_chain_ring(3, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_index_span_properties(data):
+    ring = data.draw(st.sampled_from(_PROPERTY_RINGS))
+    width = data.draw(st.integers(1, 3))
+    items = data.draw(st.lists(st.integers(0, ring.size**width - 1), max_size=4))
+    r_closed = data.draw(st.booleans())
+    rows = digits(items, ring.size, width)
+    if r_closed:
+        rows = ring.mul_table[:, rows].reshape(-1, width)
+    feed = indices_of(rows, ring.size).tolist()
+    group, grew = index_span(ring, width, feed)
+    assert (ring.size**width) % group.size == 0
+    assert np.array_equal(group, np.unique(group))
+    assert grew == sorted(set(grew))
+    for i in grew:
+        assert feed[i] not in index_span(ring, width, feed[:i])[0]
+    assert np.array_equal(index_span(ring, width, [feed[i] for i in grew])[0], group)
+    coords = digits(group, ring.size, width)
+    sums = ring.add_table[coords[:, None, :], coords[None, :, :]].reshape(-1, width)
+    assert np.isin(indices_of(sums, ring.size), group).all()
+    if r_closed:
+        scaled = ring.mul_table[:, coords].reshape(-1, width)
+        assert np.isin(indices_of(scaled, ring.size), group).all()
+    shuffled = data.draw(st.permutations(feed))
+    assert np.array_equal(index_span(ring, width, shuffled)[0], group)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +281,7 @@ def _index_by_hand(ring, elements):
     h = 1
     while power != {ring.zero}:
         raw = {ring.mul(p, x) for p in power for x in elements}
-        power = close_under_addition(ring.add, ring.zero, sorted(raw))
+        power = _close_under_addition(ring.add, ring.zero, sorted(raw))
         h += 1
     return h
 

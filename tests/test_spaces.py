@@ -20,6 +20,7 @@ from frobqec import (
     enumerate_submodules,
     form_eval,
     identity_form,
+    is_isotropic,
     is_self_orthogonal,
     make_space,
     make_zm,
@@ -31,6 +32,7 @@ from frobqec import (
 from frobqec.spaces import AMBIENT_BOUND, ENV_AMBIENT_BOUND, form_many
 
 from conftest import std_space
+from test_acceptance import _isotropic_label_modules
 
 U = 2
 
@@ -286,6 +288,17 @@ def test_enumerate_respects_max_elems(z4_line):
     small = enumerate_submodules(z4_line, doubled=True, max_elems=2)
     assert all(len(m) <= 2 for m in small)
     assert len(small) == 4
+
+
+def test_isotropic_submodules_match_the_acceptance_engine(z2, z4, f2u):
+    for space in (std_space(z2, 2, 1), std_space(z4, 1, 1), std_space(f2u, 1, 1)):
+        modules = enumerate_submodules(space, doubled=True)
+        for module in modules:
+            assert submodule_span(space, module.generators, doubled=True) == module
+        ours = [l.elements for l in modules if is_isotropic(space, l)]
+        theirs = {l.elements for l in _isotropic_label_modules(space)}
+        assert len(ours) == len(theirs)
+        assert set(ours) == theirs
 
 
 def test_enumerate_bound(z4):

@@ -15,6 +15,7 @@ from frobqec import (
     ConsistencyError,
     InvalidInputError,
     ResourceLimitError,
+    StabiliserGroup,
     Turn,
     additive_module,
     code_dimension,
@@ -190,6 +191,59 @@ def test_offending_pair_reports_omega(z4_line):
     g, h, value = offending_pair(s)
     assert value == Turn(3, 4)
     assert (g.label, h.label) == (((1,), (0,)), ((0,), (1,)))
+
+
+def _first_offending_by_brute_force(space, gens):
+    """Reference: every generator pair in row-major order."""
+    for i, g in enumerate(gens):
+        for h in gens[i:]:
+            value = omega(space, g.label, h.label)
+            if not value.is_zero:
+                return (g, h, value)
+    return None
+
+
+@pytest.mark.parametrize(
+    "ring_name, k, n",
+    [("z2", 1, 2), ("z4", 1, 1), ("z4", 1, 2), ("f2u", 1, 1), ("f2u", 2, 1), ("z6", 1, 1)],
+)
+def test_offending_pair_matches_all_pairs(request, ring_name, k, n):
+    space = std_space(request.getfixturevalue(ring_name), k, n)
+    rng = random.Random(20260822)
+    turns = [T0, Turn(1, 2), Turn(1, 4)]
+    outcomes = set()
+    for _ in range(80):
+        gens = []
+        for _ in range(rng.randrange(1, 7)):
+            if gens and rng.random() < 0.4:
+                # A label inside the span of the earlier ones.
+                g = weyl_mul(space, rng.choice(gens), rng.choice(gens))
+            else:
+                vec = lambda: tuple(rng.randrange(space.ring.size) for _ in range(space.rank))
+                g = _w(space, rng.choice(turns), vec(), vec())
+            gens.append(g)
+        found = offending_pair(StabiliserGroup(space, gens, []))
+        assert found == _first_offending_by_brute_force(space, gens)
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
+
+
+def test_phase_fix_compares_only_span_growing_generators(z4, monkeypatch):
+    # Lifting all 64 labels of R*(e_i, e_i) makes 64 generators; comparing
+    # every pair of them would take 2080 omega calls.
+    space = std_space(z4, 1, 3)
+    diagonal = [tuple(int(i == j) for j in range(3)) * 2 for i in range(3)]
+    module = submodule_span(space, diagonal, doubled=True)
+    assert len(module) == 64
+    calls = []
+    real = frobqec.weyl.omega
+    monkeypatch.setattr(frobqec.weyl, "omega", lambda *a: calls.append(a) or real(*a))
+    s = stabiliser_of_labels(space, module)
+    assert not s.scalar_free
+    fixed = phase_fix(s)
+    assert fixed.scalar_free
+    assert label_module_of(fixed) == module
+    assert len(calls) < 64
 
 
 def _brute_closure(space, gens, cap):
