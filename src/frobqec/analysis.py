@@ -5,16 +5,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import Ideal, RingSpec, Turn, digits, nilpotency_index, nilradical
+from .rings import (Ideal, RingSpec, Turn, _require_nil, digits, indices_of, nilpotency_index,
+                    nilradical)
 from .spaces import (
     PhaseSpace,
     Submodule,
     Vector,
+    _first_nontrivial,
+    _form,
     enumerate_submodules,
+    identity_form,
     is_self_orthogonal,
     orthogonal,
-    phase_pairing,
     submodule_span,
 )
 from .weyl import (
@@ -49,21 +54,22 @@ def css_verdict(space: PhaseSpace, l: Submodule) -> CssVerdict:
         raise InvalidInputError("the CSS test takes a label module in the doubled space")
     if not is_isotropic(space, l):
         raise InvalidInputError("the CSS test takes an isotropic label module")
-    zero = space.zero_vector()
-    pairs = [split_label(space, v) for v in l.elements]
-    shift_part = sorted({a for a, b in pairs if b == zero})
-    phase_part = sorted({b for a, b in pairs if a == zero})
-    a_mod = Submodule(space, shift_part, shift_part, doubled=False, r_closed=l.r_closed)
-    b_mod = Submodule(space, phase_part, phase_part, doubled=False, r_closed=l.r_closed)
+    # A label's index is shift + |H| * phase, so the pure parts are masks.
+    zero = space.vector_index(space.zero_vector())
+    phase, shift = np.divmod(l.indices, space.size)
+    shift_part, phase_part = shift[phase == zero], phase[shift == zero]
     # (a, b) -> a and b are separately injective on A + B, so the sum
     # has |A| * |B| elements; matching |L| makes the pure parts generate.
-    if len(a_mod) * len(b_mod) == len(l):
-        return CssVerdict("css", (a_mod, b_mod), None)
-    witness = None
-    for a, b in pairs:
-        if not phase_pairing(space, b, a).is_zero:
-            witness = (a, b)
-            break
+    if shift_part.size * phase_part.size == len(l):
+        split = tuple(Submodule(space, (), part, doubled=False, r_closed=l.r_closed)
+                      for part in (shift_part, phase_part))
+        return CssVerdict("css", split, None)
+    # The witness is the first label, in ``elements`` order, whose phase
+    # pairs non-trivially with its own shift.
+    rows = l.rows
+    own = _form(space, rows[:, space.rank :], rows[:, : space.rank])
+    hits = np.flatnonzero(space.ring.eps_num[own] % space.ring.eps_den)
+    witness = split_label(space, tuple(rows[hits[0]].tolist())) if hits.size else None
     return CssVerdict("non_css", None, witness)
 
 
@@ -91,16 +97,12 @@ class ProtectionReport:
 def nilpotent_code(space: PhaseSpace, ideal: Ideal) -> Submodule:
     """The submodule swept out by the ideal: all ideal multiples of the
     carrier, spanned by ideal multiples of the basis vectors."""
-    _require_nil(space.ring, ideal)
-    gens = []
-    ring = space.ring
-    for x in ideal.elements:
-        if x == ring.zero:
-            continue
-        for j in range(space.rank):
-            v = [ring.zero] * space.rank
-            v[j] = x
-            gens.append(tuple(v))
+    if ideal.ring is not space.ring:
+        raise InvalidInputError("ideal belongs to a different ring")
+    _require_nil(ideal)
+    zero, rank = space.ring.zero, space.rank
+    gens = [tuple(x if i == j else zero for i in range(rank))
+            for x in ideal.elements if x != zero for j in range(rank)]
     return submodule_span(space, gens)
 
 
@@ -112,7 +114,6 @@ def check_nilpotent_protection(space: PhaseSpace, ideal: Ideal) -> ProtectionRep
     omega((u, 0), (a, b)) depends only on b and u, so the scan runs over
     the orthogonal complement against the code.
     """
-    _require_nil(space.ring, ideal)
     code = nilpotent_code(space, ideal)
     index = nilpotency_index(ideal)
     square_zero = index <= 2
@@ -122,28 +123,7 @@ def check_nilpotent_protection(space: PhaseSpace, ideal: Ideal) -> ProtectionRep
     if len(code) * len(perp) > (1 << 22):
         raise ResourceLimitError("protection scan is out of bounds")
 
-    counterexample = None
-    for b in perp.elements:
-        for u in code.elements:
-            value = -phase_pairing(space, b, u)
-            if not value.is_zero:
-                counterexample = (b, u, value)
-                break
-        if counterexample:
-            break
-
-    demo = None
-    if len(code) > 1:
-        for b in space.vectors():
-            if b in perp:
-                continue
-            for u in code.elements:
-                value = -phase_pairing(space, b, u)
-                if not value.is_zero:
-                    demo = (b, u, value)
-                    break
-            if demo:
-                break
+    counterexample, demo = _protection_scans(space, code, perp)
 
     passed = counterexample is None and (self_orth is not False)
     return ProtectionReport(
@@ -156,15 +136,20 @@ def check_nilpotent_protection(space: PhaseSpace, ideal: Ideal) -> ProtectionRep
     )
 
 
-def _require_nil(ring: RingSpec, ideal: Ideal) -> None:
-    if ideal.ring is not ring:
-        raise InvalidInputError("ideal belongs to a different ring")
-    nil = nilradical(ring).element_set
-    for x in ideal.elements:
-        if x not in nil:
-            raise InvalidInputError(
-                f"ideal element {ring.element_str(x)} is not nilpotent"
-            )
+def _protection_scans(space: PhaseSpace, code: Submodule, perp: Submodule):
+    """The first (error phase b, code vector u, turn -<b, u>) with a
+    non-trivial turn, u in ``elements`` order: b over ``perp`` in its
+    ``elements`` order (the counterexample) and, for a non-trivial code, b
+    outside ``perp`` in carrier order, masked block by block (the demo)."""
+    code_rows = code.rows
+
+    def first(phases: np.ndarray, keep=None):
+        hit = _first_nontrivial(space, phases, code_rows, keep)
+        return None if hit is None else (hit[0], hit[1], -space.ring.epsilon(hit[2]))
+
+    outside = np.ones(space.size, dtype=bool)
+    outside[perp.indices] = False
+    return first(perp.rows), first(space.coords, outside) if len(code) > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +243,8 @@ def _mat_mul(ring: RingSpec, x: Matrix, y: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _transpose(x: Matrix) -> Matrix:
-    return tuple(zip(*x))
-
-
-def _identity_matrix(ring: RingSpec, k: int) -> Matrix:
-    return tuple(
-        tuple(ring.one if i == j else ring.zero for j in range(k)) for i in range(k)
-    )
-
-
 def _preserves_form(ring: RingSpec, form, g: Matrix) -> bool:
-    return _mat_mul(ring, _mat_mul(ring, _transpose(g), form), g) == tuple(
+    return _mat_mul(ring, _mat_mul(ring, tuple(zip(*g)), form), g) == tuple(
         tuple(row) for row in form
     )
 
@@ -278,7 +253,7 @@ def _check_isometry_group(space: PhaseSpace, matrices: list[Matrix]) -> None:
     ring = space.ring
     k = space.k
     members = set(matrices)
-    ident = _identity_matrix(ring, k)
+    ident = identity_form(ring, k)
     if ident not in members:
         raise ConsistencyError("isometry scan lost the identity")
     site = [tuple(v) for v in digits(range(ring.size**k), ring.size, k).tolist()]
@@ -330,9 +305,9 @@ def isometry_action(space: PhaseSpace, g: Matrix, target):
         raise InvalidInputError("matrix does not preserve the form")
     if isinstance(target, Submodule):
         gens = [apply_matrix_blockwise(space, g, v) for v in target.generators]
-        elems = [apply_matrix_blockwise(space, g, v) for v in target.elements]
-        return Submodule(space, gens, elems, doubled=target.doubled,
-                         r_closed=target.r_closed)
+        moved = [apply_matrix_blockwise(space, g, v) for v in target.elements]
+        return Submodule(space, gens, indices_of(moved, space.ring.size),
+                         doubled=target.doubled, r_closed=target.r_closed)
     if isinstance(target, StabiliserGroup):
         def move(e: WeylElement) -> WeylElement:
             return WeylElement(

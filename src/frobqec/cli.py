@@ -496,15 +496,11 @@ def cmd_isometries(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------------------
 # built-in example checks
 
-def _chain22_space():
-    ring = make_chain_ring(2, 2)
-    return ring, make_space(ring, 2, 1, identity_form(ring, 2))
-
-
 def _builtin_checks() -> list[tuple[str, bool]]:
     out: list[tuple[str, bool]] = []
 
-    ring, space = _chain22_space()
+    ring = make_chain_ring(2, 2)
+    space = make_space(ring, 2, 1, identity_form(ring, 2))
     u = ring.element_from_doc([0, 1])
     e1, e2 = (ring.one, ring.zero), (ring.zero, ring.one)
     ue1, ue2 = space.scalar_vec(u, e1), space.scalar_vec(u, e2)
@@ -512,7 +508,7 @@ def _builtin_checks() -> list[tuple[str, bool]]:
     out.append(("chain(2,2) character is generating", verify_generating_character(ring)))
 
     u_code = submodule_span(space, [ue1, ue2])
-    sweep = pairing_turn_numerators(space, u_code.elements, u_code.elements)
+    sweep = pairing_turn_numerators(space, u_code.rows, u_code.rows)
     out.append(("u-multiples all pair trivially", bool((sweep == 0).all())))
     out.append(("uH is self-orthogonal", is_self_orthogonal(space, u_code)))
 

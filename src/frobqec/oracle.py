@@ -31,7 +31,7 @@ def _shift_permutation(space: PhaseSpace, shift) -> np.ndarray:
     shifted = ring.add_table[
         space.coords, ring.neg_table[np.asarray(shift, dtype=np.int64)][None, :]
     ]
-    powers = np.array(space._powers, dtype=np.int64)
+    powers = ring.size ** np.arange(space.rank, dtype=np.int64)
     return shifted @ powers
 
 

@@ -17,7 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -173,13 +172,7 @@ def verify_generating_character(ring: RingSpec) -> bool:
     ring self-dual through the multiplication pairing.
     """
     rows = ring.eps_num[ring.mul_table] % ring.eps_den
-    seen = set()
-    for i in range(ring.size):
-        key = rows[i].tobytes()
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    return len({row.tobytes() for row in rows}) == ring.size
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +384,8 @@ class Ideal:
     ring: RingSpec
     elements: tuple[int, ...]
 
-    @cached_property
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
     def __contains__(self, x: int) -> bool:
-        return x in self.element_set
+        return x in self.elements
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -412,29 +401,34 @@ def ideal_span(ring: RingSpec, generators) -> Ideal:
 
 
 def nilradical(ring: RingSpec) -> Ideal:
-    """The ideal of nilpotent elements.
-
-    x is nilpotent iff x^(2^t) = 0 once 2^t reaches the ring size, so a
-    few rounds of table squaring settle every element at once.
-    """
-    p = np.arange(ring.size)
-    for _ in range(max(1, (ring.size - 1).bit_length())):
-        p = ring.mul_table[p, p]
-    elems = tuple(int(x) for x in np.flatnonzero(p == ring.zero))
-    ideal = Ideal(ring, elems)
+    """The ideal of nilpotent elements."""
+    ideal = Ideal(ring, tuple(np.flatnonzero(_nilpotent(ring, np.arange(ring.size))).tolist()))
     _check_ideal(ideal)
     return ideal
 
 
+def _nilpotent(ring: RingSpec, elems: np.ndarray) -> np.ndarray:
+    """Which of the elements are nilpotent: x is iff x^(2^t) = 0 once 2^t
+    reaches the ring size, so a few rounds of table squaring settle all
+    of them at once."""
+    p = elems
+    for _ in range(max(1, (ring.size - 1).bit_length())):
+        p = ring.mul_table[p, p]
+    return p == ring.zero
+
+
+def _require_nil(ideal: Ideal) -> None:
+    elems = np.asarray(ideal.elements, dtype=np.int64)
+    bad = elems[~_nilpotent(ideal.ring, elems)]
+    if bad.size:
+        name = ideal.ring.element_str(int(bad[0]))
+        raise InvalidInputError(f"ideal element {name} is not nilpotent")
+
+
 def nilpotency_index(ideal: Ideal) -> int:
     """Least h >= 1 with ideal^h = {0}.  Input must be nil."""
+    _require_nil(ideal)
     ring = ideal.ring
-    nil = nilradical(ring).element_set
-    bad = [x for x in ideal.elements if x not in nil]
-    if bad:
-        raise InvalidInputError(
-            f"element {ring.element_str(bad[0])} of the ideal is not nilpotent"
-        )
     elems = np.asarray(ideal.elements, dtype=np.int64)
     power = np.union1d(elems, [ring.zero])
     h = 1
@@ -448,16 +442,15 @@ def nilpotency_index(ideal: Ideal) -> int:
 
 def _check_ideal(ideal: Ideal) -> None:
     ring = ideal.ring
-    elems = ideal.element_set
-    if ring.zero not in elems:
+    elems = np.asarray(ideal.elements, dtype=np.int64)
+    inside = np.zeros(ring.size, dtype=bool)
+    inside[elems] = True
+    if not inside[ring.zero]:
         raise ConsistencyError("ideal is missing zero")
-    for x in ideal.elements:
-        for y in ideal.elements:
-            if ring.add(x, y) not in elems:
-                raise ConsistencyError("ideal is not additively closed")
-        for r in ring.elements():
-            if ring.mul(r, x) not in elems:
-                raise ConsistencyError("ideal is not closed under ring multiples")
+    if not inside[ring.add_table[np.ix_(elems, elems)]].all():
+        raise ConsistencyError("ideal is not additively closed")
+    if not inside[ring.mul_table[:, elems]].all():
+        raise ConsistencyError("ideal is not closed under ring multiples")
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ V = R^k.  A symmetric k x k matrix over R gives the per-site bilinear
 form; it extends to the whole space as a sum over sites.  Composing the
 form with the ring character yields the phase pairing, an exact turn.
 
-Vectors are plain tuples of carrier indices, coordinate 0 fastest.  Spans
-and the submodule census run on their mixed-radix indices: one engine,
-``rings.index_span``, grows a sorted index array by whole cosets.  The
-heavy sweeps gather through the ring tables with numpy.
+A single vector is a tuple of ring element indices.  A submodule holds
+its elements once, as the sorted array of their mixed-radix indices
+(coordinate 0 fastest, the order of ``PhaseSpace.coords``): one engine,
+``rings.index_span``, grows that array by whole cosets, and every sweep
+over a module gathers through the ring tables with numpy.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import RingSpec, Turn, digits, index_span, indices_of
+from .rings import RingSpec, Turn, _contains, digits, index_span, indices_of
 
 AMBIENT_BOUND = 1 << 20
+# Entries per pairing block in the sweeps over modules.
+BLOCK = 1 << 16
 ENV_AMBIENT_BOUND = "FROBQEC_MAX_CARRIER"
 
 Vector = tuple[int, ...]
@@ -61,10 +64,6 @@ class PhaseSpace:
         return self.ring.size ** self.rank
 
     @cached_property
-    def _powers(self) -> tuple[int, ...]:
-        return tuple(self.ring.size**i for i in range(self.rank))
-
-    @cached_property
     def coords(self) -> np.ndarray:
         """(size, rank) matrix of every vector, row i = vector_from_index(i)."""
         mat = digits(np.arange(self.size), self.ring.size, self.rank)
@@ -75,7 +74,8 @@ class PhaseSpace:
         return (self.ring.zero,) * self.rank
 
     def vector_index(self, v: Vector) -> int:
-        return sum(c * p for c, p in zip(v, self._powers))
+        m = self.ring.size
+        return sum(c * m**i for i, c in enumerate(v))
 
     def vector_from_index(self, i: int) -> Vector:
         m = self.ring.size
@@ -194,20 +194,18 @@ def phase_pairing(space: PhaseSpace, v: Vector, w: Vector) -> Turn:
     return space.ring.epsilon(form_eval(space, v, w))
 
 
-def _vector_array(space: PhaseSpace, vectors) -> np.ndarray:
-    return np.asarray(list(vectors), dtype=np.int64).reshape(-1, space.rank)
-
-
 def form_many(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Pairwise form values: out[i, j] = form(rows[i], cols[j]).
+    """Pairwise form values: out[i, j] = form(rows[i], cols[j])."""
+    return _form(space, rows[:, None, :], cols[None, :, :])
 
-    Both inputs are (count, rank) coordinate matrices; the result holds
-    ring element indices.  Runs in n*k^2 table gathers.
-    """
+
+def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """form(left, right) over the last axis, broadcasting the others, in
+    n*k^2 table gathers; the result holds ring element indices."""
     ring = space.ring
     add, mul = ring.add_table, ring.mul_table
     k = space.k
-    out = np.full((rows.shape[0], cols.shape[0]), ring.zero, dtype=np.int64)
+    out = np.full(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]), ring.zero)
     for site in range(space.n):
         base = site * k
         for p in range(k):
@@ -215,16 +213,33 @@ def form_many(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
                 b = space.form[p][q]
                 if b == ring.zero:
                     continue
-                left = mul[rows[:, base + p], b]
-                out = add[out, mul[left[:, None], cols[None, :, base + q]]]
+                out = add[out, mul[mul[left[..., base + p], b], right[..., base + q]]]
     return out
+
+
+def _first_nontrivial(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray, keep=None):
+    """The first (rows[i], cols[j]) in row-major order, rows with ``keep``
+    set if a mask is given, whose pairing turn is non-trivial, as tuples,
+    with their form value, or None; ``form_many`` runs on blocks of at most
+    BLOCK entries."""
+    chunk = max(1, BLOCK // max(1, len(cols)))
+    for start in range(0, len(rows), chunk):
+        block = rows[start : start + chunk]
+        if keep is not None:
+            block = block[keep[start : start + chunk]]
+        for col in range(0, len(cols), BLOCK):
+            values = form_many(space, block, cols[col : col + BLOCK])
+            hits = np.argwhere(space.ring.eps_num[values] % space.ring.eps_den)
+            if hits.size:
+                i, j = hits[0]
+                return tuple(block[i].tolist()), tuple(cols[col + j].tolist()), int(values[i, j])
+    return None
 
 
 def pairing_turn_numerators(space: PhaseSpace, rows, cols) -> np.ndarray:
     """Pairwise pairing turns as numerators over the ring's shared
     denominator; zero means a trivial pairing."""
-    ra = _vector_array(space, rows)
-    ca = _vector_array(space, cols)
+    ra, ca = (np.asarray(list(v), dtype=np.int64).reshape(-1, space.rank) for v in (rows, cols))
     return space.ring.eps_num[form_many(space, ra, ca)] % space.ring.eps_den
 
 
@@ -235,26 +250,44 @@ class Submodule:
     """A finite set of vectors closed under addition, and under ring
     scalars when ``r_closed`` is set.
 
+    The elements are held once, as ``indices``, the sorted read-only
+    array of their distinct indices (as in ``rings.digits``); ``rows`` and
+    ``elements`` are derived views in tuple order.  ``generators`` are
+    kept as given; none means the elements generate.
+
     Label sets stripped from operator groups are only additively closed
     over non-cyclic rings, so the scalar-closure flag is tracked rather
     than assumed.  ``doubled`` marks subsets of the doubled space H + H
     (vectors of length 2 * rank, shift half then phase half).
     """
 
-    def __init__(self, space: PhaseSpace, generators, elements, *, doubled: bool,
+    def __init__(self, space: PhaseSpace, generators, indices, *, doubled: bool,
                  r_closed: bool):
         self.space = space
         self.doubled = doubled
         self.r_closed = r_closed
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
-        self._element_set = frozenset(self.elements)
+        self.indices = _index_array(indices, space.ring.size ** _width(space, doubled))
+        self.indices.setflags(write=False)
 
-    def __contains__(self, v: Vector) -> bool:
-        return v in self._element_set
+    @property
+    def rows(self) -> np.ndarray:
+        """Coordinate matrix of the elements, in the order of ``elements``."""
+        rows = digits(self.indices, self.space.ring.size, _width(self.space, self.doubled))
+        return rows[np.lexsort(rows.T[::-1])]
+
+    @property
+    def elements(self) -> tuple[Vector, ...]:
+        """The elements as sorted coordinate tuples, for reports and tests."""
+        return tuple(map(tuple, self.rows.tolist()))
+
+    def __contains__(self, v) -> bool:
+        m = self.space.ring.size
+        return (len(v) == _width(self.space, self.doubled) and all(0 <= c < m for c in v)
+                and bool(_contains(self.indices, indices_of(v, m).reshape(1))[0]))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return int(self.indices.size)
 
     def __iter__(self):
         return iter(self.elements)
@@ -265,11 +298,11 @@ class Submodule:
             isinstance(other, Submodule)
             and self.space is other.space
             and self.doubled == other.doubled
-            and self.elements == other.elements
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.space), self.doubled, self.elements))
+        return hash((id(self.space), self.doubled, self.indices.tobytes()))
 
     def __repr__(self) -> str:
         kind = "doubled submodule" if self.doubled else "submodule"
@@ -278,6 +311,16 @@ class Submodule:
 
 def _width(space: PhaseSpace, doubled: bool) -> int:
     return 2 * space.rank if doubled else space.rank
+
+
+def _index_array(indices, bound: int) -> np.ndarray:
+    """Sorted distinct int64 copy of a flat list of integers in range(bound)."""
+    arr = np.asarray(indices)
+    if arr.ndim != 1 or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0
+                                      or arr.max() >= bound):
+        raise InvalidInputError(f"submodule elements must be flat indices in range({bound})")
+    arr = arr.astype(np.int64)
+    return arr if (arr[1:] > arr[:-1]).all() else np.unique(arr)
 
 
 def _span(space: PhaseSpace, generators, doubled: bool, r_closed: bool) -> Submodule:
@@ -290,8 +333,7 @@ def _span(space: PhaseSpace, generators, doubled: bool, r_closed: bool) -> Submo
     if r_closed:
         rows = ring.mul_table[:, rows].reshape(-1, width)
     group, _ = index_span(ring, width, indices_of(rows, ring.size))
-    elems = map(tuple, digits(group, ring.size, width).tolist())
-    return Submodule(space, gens, elems, doubled=doubled, r_closed=r_closed)
+    return Submodule(space, gens, group, doubled=doubled, r_closed=r_closed)
 
 
 def submodule_span(space: PhaseSpace, generators, *, doubled: bool = False) -> Submodule:
@@ -325,22 +367,26 @@ def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
         raise InvalidInputError("orthogonal complements live in the plain space")
     m = space.ring.size
     if code.r_closed:
-        multiples = space.ring.mul_table[:, _vector_array(space, code.generators)]
+        multiples = space.ring.mul_table[:, _generator_rows(code)]
         probes = digits(np.unique(indices_of(multiples, m)), m, space.rank)
     else:
-        probes = _vector_array(space, code.elements)
+        probes = code.rows
 
     den = space.ring.eps_den
     eps = space.ring.eps_num
-    kept: list[Vector] = []
-    chunk = max(1, (1 << 16) // max(1, len(probes)))
+    kept = []
+    chunk = max(1, BLOCK // max(1, len(probes)))
     coords = space.coords
     for start in range(0, space.size, chunk):
-        block = coords[start : start + chunk]
-        nums = eps[form_many(space, block, probes)] % den
-        good = np.flatnonzero((nums == 0).all(axis=1))
-        kept.extend(tuple(int(c) for c in block[i]) for i in good)
-    return Submodule(space, kept, kept, doubled=False, r_closed=code.r_closed)
+        nums = eps[form_many(space, coords[start : start + chunk], probes)] % den
+        kept.append(start + np.flatnonzero((nums == 0).all(axis=1)))
+    return Submodule(space, (), np.concatenate(kept), doubled=False, r_closed=code.r_closed)
+
+
+def _generator_rows(code: Submodule) -> np.ndarray:
+    """Coordinate rows of the generators, or of the elements if none."""
+    gens = np.asarray(code.generators, dtype=np.int64)
+    return gens.reshape(len(gens), -1) if code.generators else code.rows
 
 
 def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:
@@ -352,10 +398,7 @@ def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:
     """
     if code.doubled:
         raise InvalidInputError("self-orthogonality applies to codes in the plain space")
-    gens = code.generators if code.generators else code.elements
-    arr = _vector_array(space, gens)
-    if arr.shape[0] == 0:
-        return True
+    arr = _generator_rows(code)
     values = form_many(space, arr, arr)
     if code.r_closed:
         return bool((values == space.ring.zero).all())
@@ -369,6 +412,7 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
     breadth-first from M to M + Rx over the distinct cyclic submodules;
     |M + Rx| = |M| |R| / #{r : r*x in M} refuses a candidate over the
     cap before it is built.  The ambient must stay at desk scale.
+    Modules come out by size, then by their ``elements`` tuples.
     """
     ring = space.ring
     width = _width(space, doubled)
@@ -406,8 +450,10 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
             # M + Ry lies in M + Rx when y does, and equals it at equal size.
             todo = todo[~(np.isin(reps[todo], bigger) & (sizes[todo] == bigger.size))]
     modules = [
-        Submodule(space, map(tuple, coords[list(gens)].tolist()),
-                  map(tuple, coords[group].tolist()), doubled=doubled, r_closed=True)
+        Submodule(space, map(tuple, coords[list(gens)].tolist()), group,
+                  doubled=doubled, r_closed=True)
         for group, gens in queue
     ]
-    return sorted(modules, key=lambda s: (len(s), s.elements))
+    # Indices with coordinate 0 as the slowest digit sort like the tuples.
+    tuple_rank = indices_of(coords[:, ::-1], ring.size)
+    return sorted(modules, key=lambda s: (len(s), np.sort(tuple_rank[s.indices]).tolist()))

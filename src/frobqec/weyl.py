@@ -30,6 +30,7 @@ from .spaces import (
     Submodule,
     Vector,
     _check_vector,
+    _first_nontrivial,
     form_eval,
     phase_pairing,
 )
@@ -252,12 +253,9 @@ def label_module_of(s: StabiliserGroup) -> Submodule:
     non-cyclic ring, not necessarily under scalars, so the result is an
     additive module.
     """
-    labels = sorted({join_label(e.label) for e in s.elements})
+    labels = indices_of([join_label(e.label) for e in s.elements], s.space.ring.size)
     gen_labels = [join_label(g.label) for g in s.generators]
-    module = Submodule(
-        s.space, gen_labels or labels, labels, doubled=True, r_closed=False
-    )
-    return module
+    return Submodule(s.space, gen_labels, labels, doubled=True, r_closed=False)
 
 
 def is_isotropic(space: PhaseSpace, l: Submodule) -> bool:
@@ -266,22 +264,18 @@ def is_isotropic(space: PhaseSpace, l: Submodule) -> bool:
     Scalar-closed modules reduce to generator pairs of the underlying
     ring-valued alternating form (scalars sweep through the character);
     additive-only modules reduce to generator pairs of omega itself.
+    Both forms are alternating, so a generator paired with itself is skipped.
     """
     if not l.doubled:
         raise InvalidInputError("isotropy applies to label modules in the doubled space")
-    gens = l.generators if l.generators else l.elements
-    pairs = [split_label(space, tuple(g)) for g in gens]
-    if l.r_closed:
-        ring = space.ring
-        for i, (a, b) in enumerate(pairs):
-            for a2, b2 in pairs[i:]:
-                d = ring.sub(form_eval(space, b, a2), form_eval(space, b2, a))
-                if d != ring.zero:
-                    return False
-        return True
-    for i, p in enumerate(pairs):
-        for q in pairs[i:]:
-            if not omega(space, p, q).is_zero:
+    pairs = [split_label(space, tuple(g)) for g in (l.generators or l.elements)]
+    for i, (a, b) in enumerate(pairs):
+        for a2, b2 in pairs[i + 1 :]:
+            if l.r_closed:
+                trivial = form_eval(space, b, a2) == form_eval(space, b2, a)
+            else:
+                trivial = omega(space, (a, b), (a2, b2)).is_zero
+            if not trivial:
                 return False
     return True
 
@@ -297,10 +291,7 @@ def stabiliser_of_labels(space: PhaseSpace, l: Submodule,
         raise InvalidInputError("label lifts take a module in the doubled space")
     if not is_isotropic(space, l):
         raise InvalidInputError("label module is not isotropic")
-    lifts = []
-    for v in l.elements:
-        a, b = split_label(space, tuple(v))
-        lifts.append(WeylElement(TURN_ZERO, a, b))
+    lifts = [WeylElement(TURN_ZERO, *split_label(space, v)) for v in l.elements]
     return group_closure(space, lifts, bound=bound)
 
 
@@ -347,12 +338,10 @@ def code_dimension(space: PhaseSpace, s: StabiliserGroup) -> int:
 
 def noncommutativity_witness(space: PhaseSpace) -> LabelPair | None:
     """First (a, b) in enumeration order whose shift and phase refuse to
-    commute, i.e. with a non-trivial pairing turn."""
-    for a in space.vectors():
-        for b in space.vectors():
-            if not phase_pairing(space, b, a).is_zero:
-                return (a, b)
-    return None
+    commute, i.e. with a non-trivial pairing turn; the form is symmetric,
+    so <b, a> = <a, b> and one block scan over the carrier finds it."""
+    hit = _first_nontrivial(space, space.coords, space.coords)
+    return None if hit is None else hit[:2]
 
 
 def reconstruct_pairing(space: PhaseSpace) -> dict[tuple[Vector, Vector], Turn]:

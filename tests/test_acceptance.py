@@ -133,9 +133,8 @@ def _isotropic_label_modules(space):
                 queue.append(closed)
     modules = []
     for members, gens in found.items():
-        elems = [tuple(int(c) for c in coords[i]) for i in sorted(members)]
         gen_vecs = [tuple(int(c) for c in coords[i]) for i in gens]
-        modules.append(Submodule(space, gen_vecs, elems, doubled=True, r_closed=True))
+        modules.append(Submodule(space, gen_vecs, sorted(members), doubled=True, r_closed=True))
     return modules
 
 

@@ -26,19 +26,27 @@ from frobqec import (
     is_self_orthogonal,
     isometry_action,
     isometry_group,
+    enumerate_submodules,
+    join_label,
     label_module_of,
     make_chain_ring,
+    make_product,
     make_zm,
     nilpotent_code,
+    nilradical,
+    noncommutativity_witness,
     omega,
     orthogonal,
     phase_fix,
     phase_pairing,
+    split_label,
+    stabiliser_of_labels,
     submodule_census,
     submodule_span,
     weyl_element,
 )
-from frobqec.analysis import apply_matrix_blockwise
+from frobqec import analysis, cli, spaces, weyl
+from frobqec.analysis import _protection_scans, apply_matrix_blockwise
 
 from conftest import std_space
 
@@ -332,3 +340,148 @@ def test_isometry_action_rejects_non_isometry(z4_line):
         isometry_action(z4_line, ((2,),), code)
     with pytest.raises(InvalidInputError):
         isometry_action(z4_line, ((1,),), "not a module")
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the element-by-element scans the library replaced with
+# block sweeps over index arrays, kept here as the oracle for first-pair
+# selection
+
+def _css_by_loop(space, l):
+    zero = space.zero_vector()
+    pairs = [split_label(space, v) for v in l.elements]
+    shift_part = sorted({a for a, b in pairs if b == zero})
+    phase_part = sorted({b for a, b in pairs if a == zero})
+    if len(shift_part) * len(phase_part) == len(l):
+        return "css", (tuple(shift_part), tuple(phase_part)), None
+    witness = None
+    for a, b in pairs:
+        if not phase_pairing(space, b, a).is_zero:
+            witness = (a, b)
+            break
+    return "non_css", None, witness
+
+
+def _scans_by_loop(space, code, perp):
+    counterexample = None
+    for b in perp.elements:
+        for u in code.elements:
+            value = -phase_pairing(space, b, u)
+            if not value.is_zero:
+                counterexample = (b, u, value)
+                break
+        if counterexample:
+            break
+    demo = None
+    if len(code) > 1:
+        for b in space.vectors():
+            if b in perp:
+                continue
+            for u in code.elements:
+                value = -phase_pairing(space, b, u)
+                if not value.is_zero:
+                    demo = (b, u, value)
+                    break
+            if demo:
+                break
+    return counterexample, demo
+
+
+def _noncommutativity_by_loop(space):
+    for a in space.vectors():
+        for b in space.vectors():
+            if not phase_pairing(space, b, a).is_zero:
+                return (a, b)
+    return None
+
+
+def _css_matches_loop(space, l):
+    verdict = css_verdict(space, l)
+    status, split, witness = _css_by_loop(space, l)
+    assert verdict.status == status
+    assert verdict.witness == witness
+    if split is None:
+        assert verdict.split is None
+    else:
+        assert tuple(part.elements for part in verdict.split) == split
+        assert all(part.r_closed == l.r_closed for part in verdict.split)
+
+
+REFERENCE_SPACES = [
+    ("z2", 2, 1), ("z4", 1, 2), ("f2u", 1, 1), ("f2u", 2, 1), ("z6", 1, 1), ("z2xz2", 1, 1),
+]
+
+
+@pytest.mark.parametrize("ring_name, k, n", REFERENCE_SPACES,
+                         ids=[f"{r}-k{k}-n{n}" for r, k, n in REFERENCE_SPACES])
+def test_module_sweeps_match_reference_loops(request, ring_name, k, n):
+    if ring_name == "z2xz2":
+        ring = make_product(make_zm(2), make_zm(2))
+    else:
+        ring = request.getfixturevalue(ring_name)
+    space = std_space(ring, k, n)
+    assert noncommutativity_witness(space) == _noncommutativity_by_loop(space)
+
+    plain = enumerate_submodules(space)
+    for code in plain:
+        for perp in plain:
+            assert _protection_scans(space, code, perp) == _scans_by_loop(space, code, perp)
+    for x in nilradical(ring).elements:
+        ideal = ideal_span(ring, [x])
+        report = check_nilpotent_protection(space, ideal)
+        code = nilpotent_code(space, ideal)
+        assert (report.counterexample, report.demo) == _scans_by_loop(
+            space, code, orthogonal(space, code)
+        )
+
+    isometries = isometry_group(space).matrices if n == 1 else ()
+    for g in isometries:
+        for module in plain:
+            moved = {apply_matrix_blockwise(space, g, v) for v in module.elements}
+            assert isometry_action(space, g, module).elements == tuple(sorted(moved))
+
+    for l in enumerate_submodules(space, doubled=True):
+        if isometries:
+            moved = {apply_matrix_blockwise(space, isometries[-1], v) for v in l.elements}
+            assert isometry_action(space, isometries[-1], l).elements == tuple(sorted(moved))
+        if not is_isotropic(space, l):
+            continue
+        _css_matches_loop(space, l)
+        group = stabiliser_of_labels(space, l)
+        labels = label_module_of(group)
+        assert labels.elements == tuple(sorted({join_label(e.label) for e in group.elements}))
+        assert labels.elements == l.elements
+        _css_matches_loop(space, labels)
+        fixed = phase_fix(group)
+        assert fixed.scalar_free
+        assert [join_label(e.label) for e in fixed.elements] == list(l.elements)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_first_pair_survives_small_blocks(z4_pair, f2u_plane, monkeypatch, block):
+    # Blocks smaller than one row also split the columns.
+    monkeypatch.setattr(spaces, "BLOCK", block)
+    for space in (z4_pair, f2u_plane):
+        assert noncommutativity_witness(space) == _noncommutativity_by_loop(space)
+        plain = enumerate_submodules(space)
+        for code in plain[:: max(1, len(plain) // 6)]:
+            for perp in plain[:: max(1, len(plain) // 6)]:
+                assert _protection_scans(space, code, perp) == _scans_by_loop(space, code, perp)
+
+
+def test_module_sweeps_make_no_pairing_calls(f2u_line, f2u_plane, z4_pair, monkeypatch):
+    calls = []
+    original = spaces.phase_pairing
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (spaces, weyl, analysis, cli):
+        monkeypatch.setattr(module, "phase_pairing", counting, raising=False)
+    verdict = css_verdict(f2u_line, submodule_span(f2u_line, [(1, U)], doubled=True))
+    assert verdict.witness is not None
+    report = check_nilpotent_protection(z4_pair, ideal_span(z4_pair.ring, [2]))
+    assert report.demo is not None
+    assert noncommutativity_witness(f2u_plane) is not None
+    assert calls == []

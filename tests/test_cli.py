@@ -337,3 +337,22 @@ def test_oversized_documents_end_in_a_documented_exit(tmp_path, command, text, e
     assert len(proc.stderr.splitlines()) == 1
     # No message outgrows the document: sizes are echoed, never expanded.
     assert len(proc.stderr) < len(text) + 200
+
+
+@pytest.mark.parametrize("command", ["ring", "invariants", "protect"])
+def test_nil_commands_build_the_nilradical_at_most_once(tmp_path, capsys, monkeypatch, command):
+    counts = {"nilradical": 0, "_check_ideal": 0}
+    for name in counts:
+        original = getattr(frobqec.rings, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in (frobqec.rings, frobqec.analysis, frobqec.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    code, _, err = _run(capsys, command, "--scenario", _write(tmp_path, CHAIN_SCENARIO))
+    assert (code, err) == (0, "")
+    assert counts["nilradical"] <= 1
+    assert counts["_check_ideal"] <= 1

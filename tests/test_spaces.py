@@ -14,6 +14,7 @@ import pytest
 from frobqec import (
     InvalidInputError,
     ResourceLimitError,
+    Submodule,
     Turn,
     additive_module,
     ambient_bound,
@@ -177,6 +178,24 @@ def test_submodule_equality_and_containment(z4_line):
     assert a == b and hash(a) == hash(b)
     assert (2,) in a and (1,) not in a
     assert len(a) == 2
+
+
+def test_submodule_sorts_and_dedupes_indices(z4_pair):
+    # Index = c0 + 4 * c1 on Z_4 x Z_4.
+    given = Submodule(z4_pair, (), [10, 0, 8, 2, 0], doubled=False, r_closed=True)
+    spanned = submodule_span(z4_pair, [(2, 0), (0, 2)])
+    assert given.indices.tolist() == [0, 2, 8, 10]
+    assert given == spanned and hash(given) == hash(spanned)
+    assert len(given) == 4
+    assert (0, 2) in given and (1, 0) not in given
+    assert given.elements == ((0, 0), (0, 2), (2, 0), (2, 2))
+
+
+def test_submodule_refuses_anything_but_indices(z4_pair):
+    for bad in ([(0, 0), (2, 0)], [0.0, 2.0], [0, 16], [-1, 0]):
+        with pytest.raises(InvalidInputError):
+            Submodule(z4_pair, (), bad, doubled=False, r_closed=True)
+    assert len(Submodule(z4_pair, (), [0, 255], doubled=True, r_closed=False)) == 2
 
 
 def test_vector_validation(z4_line):
