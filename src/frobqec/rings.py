@@ -3,8 +3,14 @@
 A ring lives entirely in lookup tables: the carrier is ``range(size)``,
 addition and multiplication are dense ``size x size`` index tables, and
 the additive character is a vector of exact rationals (turns).  The
-constructors verify the ring axioms and the generating property of the
-character at build time, so downstream code never re-proves them.
+tables are stored in ``TABLE_DTYPE``, the smallest unsigned type that
+holds every index (uint16, 32 MB per table at the 4096 bound).  numpy
+converts such index arrays to intp on every fancy index, on a slow path
+when there are two of them, so hot gathers indexed by table values go
+through ``lookup`` (one flat intp index) or, in the exhaustive triple
+sweep of the validation, through intp copies of the tables.
+The constructors verify the ring axioms and the generating property of
+the character at build time, so downstream code never re-proves them.
 
 Three families are provided: integers mod m, chain rings Z_m[u]/(u^e)
 with the top-coefficient character, and binary products.  Every family
@@ -23,6 +29,7 @@ import numpy as np
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 
 MAX_RING_SIZE = 4096
+TABLE_DTYPE = np.min_scalar_type(MAX_RING_SIZE - 1)
 
 # Pairwise laws are always checked over all |R|^2 combinations.  The
 # triple laws (associativity, distributivity) switch to seeded random
@@ -30,6 +37,10 @@ MAX_RING_SIZE = 4096
 EXHAUSTIVE_TRIPLE_LIMIT = 256
 _TRIPLE_SAMPLES = 1000
 _TRIPLE_SEED = 20260822
+# The character's additivity check and the exhaustive triple sweep run
+# on blocks of at most this many table entries or triples, so neither
+# needs |R|^2 (or |R|^3) int64 temporaries.
+_CHECK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,12 +125,15 @@ def turn_sort_key(t: Turn) -> Fraction:
 class RingSpec:
     """A finite commutative ring with a generating additive character.
 
-    ``add_table``/``mul_table`` are dense index tables over the carrier
-    ``range(size)``.  ``eps_num[x] / eps_den`` is the turn of the
-    character at x; all entries share one denominator so the additivity
-    and generating checks vectorise.  Instances are immutable; equality
-    is identity (compare tables directly when structural equality is
-    meant).
+    ``add_table``/``mul_table`` are dense, read-only ``TABLE_DTYPE``
+    (uint16) index tables over the carrier ``range(size)``; a gather
+    that indexes with their values pays numpy's conversion of the index
+    array to intp (``lookup`` keeps that cheap for a 2-D gather).
+    ``neg_table`` and ``eps_num`` are int64 vectors.
+    ``eps_num[x] / eps_den`` is the turn of the character at x; all
+    entries share one denominator so the additivity and generating
+    checks vectorise.  Instances are immutable; equality is identity
+    (compare tables directly when structural equality is meant).
     """
 
     size: int
@@ -171,7 +185,8 @@ def verify_generating_character(ring: RingSpec) -> bool:
     This is the Frobenius condition: it makes the additive group of the
     ring self-dual through the multiplication pairing.
     """
-    rows = ring.eps_num[ring.mul_table] % ring.eps_den
+    eps = ring.eps_num % ring.eps_den
+    rows = eps.astype(np.min_scalar_type(ring.eps_den - 1))[ring.mul_table]
     return len({row.tobytes() for row in rows}) == ring.size
 
 
@@ -182,14 +197,11 @@ def make_zm(m: int) -> RingSpec:
     """Integers mod m with character x -> turn x/m."""
     _check_modulus(m)
     idx = np.arange(m, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % m
-    mul = (idx[:, None] * idx[None, :]) % m
-    neg = (-idx) % m
     spec = RingSpec(
         size=m,
-        add_table=add,
-        mul_table=mul,
-        neg_table=neg,
+        add_table=_residue_table(np.add, m),
+        mul_table=_residue_table(np.multiply, m),
+        neg_table=(-idx) % m,
         zero=0,
         one=1,
         eps_num=idx.copy(),
@@ -217,18 +229,27 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     size = m**e
     coeffs = digits(np.arange(size), m, e)
 
-    add = np.zeros((size, size), dtype=np.int64)
-    for i in range(e):
-        add += ((coeffs[:, i, None] + coeffs[None, :, i]) % m) * m**i
+    # Digits add without carry: the table of the low i+1 digits is digit
+    # i's table, weighted m^i, plus the table of the low i digits.
+    digit_add = _residue_table(np.add, m)
+    add = digit_add
+    for i in range(1, e):
+        add = digit_add[:, None, :, None] * m**i + add[None, :, None, :]
+        add = add.reshape(m ** (i + 1), -1)
 
-    # Polynomial product truncated at u^e, accumulated one degree at a
-    # time to keep the temporaries two dimensional.
-    mul = np.zeros((size, size), dtype=np.int64)
-    for deg in range(e):
-        conv = np.zeros((size, size), dtype=np.int64)
-        for i in range(deg + 1):
-            conv += coeffs[:, i, None] * coeffs[None, :, deg - i]
-        mul += (conv % m) * m**deg
+    # With y = y0 + m*y' as indices, x*y = y0*x + u*(x*y'), and u* shifts
+    # the digits up, dropping the top one: z -> z*m mod |R|.  Columns
+    # below m are digit-wise multiples; columns [m*lo, m*hi) then come in
+    # one gather from ``add`` per digit, out of the columns [lo, hi).
+    mul = np.empty((size, size), dtype=TABLE_DTYPE)
+    mul[:, :m] = indices_of(coeffs[:, None, :] * np.arange(m)[:, None] % m, m)
+    shift = (np.arange(size) * m % size).astype(TABLE_DTYPE)
+    lo = 1
+    while lo * m < size:
+        hi = lo * m
+        cols = add[mul[:, None, :m], shift[mul[:, lo:hi, None]]]
+        mul[:, hi : hi * m] = cols.reshape(size, -1)
+        lo = hi
 
     neg = indices_of((-coeffs) % m, m)
     spec = RingSpec(
@@ -278,6 +299,15 @@ def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
     return spec
 
 
+def _residue_table(op, m: int) -> np.ndarray:
+    """(x op y) mod m on range(m), built in uint32 (4095^2 < 2^32) and
+    reduced in place before the cast to the table type."""
+    idx = np.arange(m, dtype=np.uint32)
+    table = op.outer(idx, idx)
+    table %= m
+    return table.astype(TABLE_DTYPE)
+
+
 def _check_modulus(m: int) -> None:
     if not isinstance(m, int) or m < 2:
         raise InvalidInputError(f"modulus must be an integer >= 2, got {m!r}")
@@ -307,18 +337,33 @@ def _validate_ring(spec: RingSpec) -> None:
     eps = spec.eps_num % spec.eps_den
     if not np.array_equal(eps, spec.eps_num):
         raise ConsistencyError("character numerators are not reduced mod the denominator")
-    if ((eps[a] - eps[:, None] - eps[None, :]) % spec.eps_den != 0).any():
-        raise ConsistencyError("character is not additive")
+    rows = max(1, _CHECK_BLOCK // n)
+    for start in range(0, n, rows):
+        block = eps[a[start : start + rows]] - eps[start : start + rows, None] - eps
+        if (block % spec.eps_den).any():
+            raise ConsistencyError("character is not additive")
     if not verify_generating_character(spec):
         raise ConsistencyError("character is not generating")
 
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
-        for x in range(n):
-            if not np.array_equal(a[a[x]], a[x][a]):
+        # Blocks of x with at most _CHECK_BLOCK triples each: intp copies
+        # of the tables spare numpy the index conversion on every gather,
+        # and three reused outputs spare the allocator a fresh block per
+        # gather ("clip" only skips take's own copy: indices are in range).
+        a, m_ = a.astype(np.intp), m_.astype(np.intp)
+        rows = max(1, min(n, _CHECK_BLOCK // (n * n)))
+        buffers = np.empty((3, rows, n, n), dtype=np.intp)
+        for start in range(0, n, rows):
+            ax, mx = a[start : start + rows], m_[start : start + rows]
+            lhs, rhs, flat = buffers[:, : len(ax)]
+            # (x + y) + z = a[a[x, y], z] against x + (y + z) = a[x, a[y, z]]
+            if not np.array_equal(a.take(ax, 0, lhs, "clip"), ax.take(a, 1, rhs, "clip")):
                 raise ConsistencyError("addition is not associative")
-            if not np.array_equal(m_[m_[x]], m_[x][m_]):
+            if not np.array_equal(m_.take(mx, 0, lhs, "clip"), mx.take(m_, 1, rhs, "clip")):
                 raise ConsistencyError("multiplication is not associative")
-            if not np.array_equal(m_[x][a], a[m_[x][:, None], m_[x][None, :]]):
+            # x(y + z) = m[x, a[y, z]] against xy + xz = a[m[x, y], m[x, z]]
+            np.add(mx[:, :, None] * n, mx[:, None, :], out=flat)
+            if not np.array_equal(mx.take(a, 1, lhs, "clip"), a.take(flat, None, rhs, "clip")):
                 raise ConsistencyError("multiplication does not distribute")
     else:
         rng = np.random.default_rng(_TRIPLE_SEED)
@@ -347,6 +392,13 @@ def indices_of(rows, base: int) -> np.ndarray:
     """Inverse of ``digits``: the index of each coordinate row."""
     rows = np.asarray(rows, dtype=np.int64)
     return rows @ base ** np.arange(rows.shape[-1], dtype=np.int64)
+
+
+def lookup(table: np.ndarray, x, y) -> np.ndarray:
+    """``table[x, y]`` for broadcasting index arrays, gathered through one
+    flat intp index: numpy takes a slow path on a 2-D gather whose index
+    arrays are not intp, such as the values of another table."""
+    return table.ravel()[np.add(np.multiply(x, len(table), dtype=np.intp), y)]
 
 
 def index_span(ring: RingSpec, width: int, items, start=None) -> tuple[np.ndarray, list[int]]:

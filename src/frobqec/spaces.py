@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import RingSpec, Turn, _contains, digits, index_span, indices_of
+from .rings import RingSpec, Turn, _contains, digits, index_span, indices_of, lookup
 
 AMBIENT_BOUND = 1 << 20
 # Entries per pairing block in the sweeps over modules.
@@ -201,11 +201,12 @@ def form_many(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """form(left, right) over the last axis, broadcasting the others, in
-    n*k^2 table gathers; the result holds ring element indices."""
+    n*k^2 table gathers; the result holds ring element indices.  A perfect
+    form has a non-zero entry, so the first term starts the sum."""
     ring = space.ring
     add, mul = ring.add_table, ring.mul_table
     k = space.k
-    out = np.full(np.broadcast_shapes(left.shape[:-1], right.shape[:-1]), ring.zero)
+    out = None
     for site in range(space.n):
         base = site * k
         for p in range(k):
@@ -213,7 +214,9 @@ def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
                 b = space.form[p][q]
                 if b == ring.zero:
                     continue
-                out = add[out, mul[mul[left[..., base + p], b], right[..., base + q]]]
+                x = left[..., base + p] if b == ring.one else mul[left[..., base + p], b]
+                term = mul[x, right[..., base + q]]
+                out = term if out is None else lookup(add, out, term)
     return out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobqec import (
+    ConsistencyError,
     InvalidInputError,
     ResourceLimitError,
     Turn,
@@ -21,6 +23,7 @@ from frobqec import (
     submodule_span,
     verify_generating_character,
 )
+from frobqec import rings
 from frobqec.rings import digits, element_from_doc, element_to_doc, index_span, indices_of
 
 from conftest import std_space
@@ -335,3 +338,161 @@ def test_chain_ring_with_odd_modulus():
 def test_tables_are_write_protected(z4):
     with pytest.raises(ValueError):
         z4.add_table[0, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# table builds and validation
+#
+# The reference builders use the plain int64 formulas: (i op j) % m for
+# Z_m, digit-wise sums and the coefficient convolution for chain rings,
+# and componentwise tables for products.  Each returns (size, rows, neg,
+# eps_num, eps_den), where rows(start, stop) gives the addition and
+# multiplication rows of the elements start..stop-1, so no reference
+# table of a 4096-element ring is ever held whole.
+
+_REFERENCE_ROWS = 128
+
+
+def _reference_zm(m):
+    idx = np.arange(m, dtype=np.int64)
+
+    def rows(start, stop):
+        block = idx[start:stop, None]
+        return (block + idx) % m, (block * idx) % m
+
+    return m, rows, (-idx) % m, idx, m
+
+
+def _reference_chain(m, e):
+    size = m**e
+    coeffs = digits(np.arange(size), m, e)
+    column = np.ascontiguousarray(coeffs.T)  # column[i]: coefficient i of every element
+
+    def rows(start, stop):
+        block = column[:, start:stop, None]
+        add = np.zeros((block.shape[1], size), dtype=np.int64)
+        for i in range(e):
+            add += ((block[i] + column[i]) % m) * m**i
+        # Polynomial product truncated at u^e, one degree at a time.
+        mul = np.zeros_like(add)
+        for deg in range(e):
+            conv = np.zeros_like(add)
+            for i in range(deg + 1):
+                conv += block[i] * column[deg - i]
+            mul += (conv % m) * m**deg
+        return add, mul
+
+    return size, rows, indices_of((-coeffs) % m, m), coeffs[:, e - 1], m
+
+
+def _reference_product(left, right):
+    (s1, rows1, neg1, eps1, den1), (s2, rows2, neg2, eps2, den2) = left, right
+    tables1, tables2 = rows1(0, s1), rows2(0, s2)
+    ia, ib = np.arange(s1 * s2) // s2, np.arange(s1 * s2) % s2
+
+    def rows(start, stop):
+        a, b = ia[start:stop, None], ib[start:stop, None]
+        return tuple(t1[a, ia] * s2 + t2[b, ib] for t1, t2 in zip(tables1, tables2))
+
+    den = int(np.lcm(den1, den2))
+    eps = (eps1[ia] * (den // den1) + eps2[ib] * (den // den2)) % den
+    return s1 * s2, rows, neg1[ia] * s2 + neg2[ib], eps, den
+
+
+def _reference_ring(case):
+    kind, *args = case
+    if kind == "product":
+        return _reference_product(*map(_reference_ring, args))
+    return {"zm": _reference_zm, "chain": _reference_chain}[kind](*args)
+
+
+def _build_ring(case):
+    kind, *args = case
+    if kind == "product":
+        return make_product(*map(_build_ring, args))
+    return {"zm": make_zm, "chain": make_chain_ring}[kind](*args)
+
+
+_TABLE_CASES = (
+    [("chain", m, e) for m in (2, 3, 4, 5, 8, 16, 64) for e in range(1, 13) if m**e <= 4096]
+    + [("zm", m) for m in (2, 6, 255, 1020, 1155, 4096)]
+    + [("product", ("zm", 2), ("zm", 3)), ("product", ("zm", 64), ("chain", 4, 3))]
+)
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES, ids=lambda c: repr(c).replace(" ", ""))
+def test_tables_match_the_int64_reference(case):
+    ring = _build_ring(case)
+    size, rows, neg, eps_num, eps_den = _reference_ring(case)
+    assert ring.size == size
+    assert ring.add_table.dtype == ring.mul_table.dtype == np.uint16
+    for start in range(0, size, _REFERENCE_ROWS):
+        stop = start + _REFERENCE_ROWS
+        add, mul = rows(start, stop)
+        assert np.array_equal(ring.add_table[start:stop], add)
+        assert np.array_equal(ring.mul_table[start:stop], mul)
+    assert np.array_equal(ring.neg_table, neg)
+    assert np.array_equal(ring.eps_num, eps_num) and ring.eps_den == eps_den
+    for table in (ring.add_table, ring.mul_table, ring.neg_table, ring.eps_num):
+        assert not table.flags.writeable
+
+
+def _tampered(ring, name, entries):
+    """A copy of the ring whose table ``name`` holds the given symmetric
+    entries {(x, y): value}."""
+    table = getattr(ring, name).copy()
+    for (x, y), value in entries.items():
+        table[x, y] = table[y, x] = value
+    return dataclasses.replace(ring, **{name: table})
+
+
+@pytest.mark.parametrize(
+    "name, pair, message",
+    [("add_table", (1, 2), "addition is not associative"),
+     ("mul_table", (2, 3), "multiplication is not associative")],
+)
+def test_exhaustive_sweep_catches_one_broken_entry(name, pair, message):
+    # chain(2, 8) has 256 elements, the largest size the sweep covers.
+    # 1 + u, or u(1 + u), becomes 0: the character reads only the top
+    # coefficient, which neither changes, so every pairwise check passes.
+    ring = make_chain_ring(2, 8)
+    with pytest.raises(ConsistencyError, match=message):
+        rings._validate_ring(_tampered(ring, name, {pair: 0}))
+
+
+def test_sampled_triples_catch_one_broken_entry():
+    # Past 256 elements only seeded triples are checked: break the
+    # product of the first sampled pair that avoids 0 and 1.
+    ring = make_zm(1020)
+    xs, ys, zs = np.random.default_rng(rings._TRIPLE_SEED).integers(
+        0, ring.size, size=(3, rings._TRIPLE_SAMPLES)
+    )
+    x, y = next((x, y) for x, y, z in zip(xs, ys, zs) if min(x, y, z) > 1 and x != y)
+    broken = _tampered(ring, "mul_table", {(x, y): ring.add(ring.mul(x, y), 1)})
+    with pytest.raises(ConsistencyError, match="associative|distribute"):
+        rings._validate_ring(broken)
+
+
+def test_additivity_blocks_reach_the_last_row():
+    # 1020 rows come in blocks of 64, the last one short; the diagonal
+    # entry of the last row is read by the last block alone.
+    ring = make_zm(1020)
+    assert ring.size % max(1, rings._CHECK_BLOCK // ring.size)
+    last = ring.size - 1
+    broken = _tampered(ring, "add_table", {(last, last): ring.add(last, last) - 1})
+    with pytest.raises(ConsistencyError, match="character is not additive"):
+        rings._validate_ring(broken)
+
+
+@pytest.mark.parametrize("build", [lambda: make_chain_ring(4, 6), lambda: make_zm(4096)],
+                         ids=["chain(4,6)", "Z_4096"])
+def test_largest_builds_stay_compact(build):
+    # numpy reports its buffers to tracemalloc; int64 tables and their
+    # temporaries peaked at 512-641 MiB here.
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**20
