@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import (Ideal, RingSpec, Turn, _require_nil, digits, indices_of, nilpotency_index,
-                    nilradical)
+from .rings import (Ideal, RingSpec, Turn, _require_nil, digits, indices_of, lookup,
+                    nilpotency_index, nilradical)
 from .spaces import (
     PhaseSpace,
     Submodule,
@@ -299,26 +299,36 @@ def isometry_action(space: PhaseSpace, g: Matrix, target):
 
     Labels map blockwise through the matrix and turns stay put; the
     pairing is preserved, so images of closed sets are closed and all
-    the derived verdicts transport unchanged.
+    the derived verdicts transport unchanged.  An index array moves with
+    one gather: each k-block of coordinates is one digit in base |R|^k,
+    sent to the index of its image.
     """
     if not _preserves_form(space.ring, space.form, g):
         raise InvalidInputError("matrix does not preserve the form")
+    ring = space.ring
+    block = ring.size**space.k
+    site = digits(np.arange(block), ring.size, space.k)
+    image = np.full(site.shape, ring.zero, dtype=np.intp)
+    for i, j in np.ndindex(space.k, space.k):
+        image[:, i] = lookup(ring.add_table, image[:, i], ring.mul_table[g[i][j], site[:, j]])
+    image = indices_of(image, ring.size)
+
+    def move(indices, sites: int) -> np.ndarray:
+        return indices_of(image[digits(indices, block, sites)], block)
+
     if isinstance(target, Submodule):
         gens = [apply_matrix_blockwise(space, g, v) for v in target.generators]
-        moved = [apply_matrix_blockwise(space, g, v) for v in target.elements]
-        return Submodule(space, gens, indices_of(moved, space.ring.size),
+        sites = 2 * space.n if target.doubled else space.n
+        return Submodule(space, gens, move(target.indices, sites),
                          doubled=target.doubled, r_closed=target.r_closed)
     if isinstance(target, StabiliserGroup):
-        def move(e: WeylElement) -> WeylElement:
-            return WeylElement(
-                e.turn,
-                apply_matrix_blockwise(space, g, e.shift),
-                apply_matrix_blockwise(space, g, e.phase),
-            )
-
-        return StabiliserGroup(
-            space, [move(e) for e in target.generators], [move(e) for e in target.elements]
-        )
+        gens = [
+            WeylElement(e.turn, apply_matrix_blockwise(space, g, e.shift),
+                        apply_matrix_blockwise(space, g, e.phase))
+            for e in target.generators
+        ]
+        return StabiliserGroup(space, gens, move(target.labels, 2 * space.n), target.turns,
+                               target.denominator, target.scalar_order)
     raise InvalidInputError(f"cannot transport {type(target).__name__} along an isometry")
 
 

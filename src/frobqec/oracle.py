@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DiagnosticError, InvalidInputError, ResourceLimitError
-from .spaces import PhaseSpace, form_many
+from .spaces import PhaseSpace
 from .weyl import StabiliserGroup, WeylElement, commutator
 
 APPLY_BOUND = 4096
@@ -36,11 +36,18 @@ def _shift_permutation(space: PhaseSpace, shift) -> np.ndarray:
 
 
 def _phase_column(space: PhaseSpace, phase) -> np.ndarray:
-    """Entry i holds the unit complex character(form(phase, vector i))."""
+    """Entry i holds the unit complex character(form(phase, vector i)),
+    summed term by term: the character is additive, so no add table and
+    no form kernel of the exact side is needed."""
     ring = space.ring
-    row = np.asarray(phase, dtype=np.int64)[None, :]
-    nums = ring.eps_num[form_many(space, row, space.coords)][0] % ring.eps_den
-    return np.exp(2j * np.pi * nums / ring.eps_den)
+    nums = np.zeros(space.size, dtype=np.int64)
+    for base in range(0, space.rank, space.k):
+        for p, row in enumerate(space.form):
+            for q, entry in enumerate(row):
+                coeff = ring.mul_table.item(phase[base + p], entry)
+                if coeff != ring.zero:
+                    nums += ring.eps_num[ring.mul_table[coeff]][space.coords[:, base + q]]
+    return np.exp(2j * np.pi * (nums % ring.eps_den) / ring.eps_den)
 
 
 def apply_weyl(space: PhaseSpace, e: WeylElement, state: np.ndarray) -> np.ndarray:

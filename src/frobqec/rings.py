@@ -55,14 +55,12 @@ class Turn:
     denominator: int = 1
 
     def __post_init__(self) -> None:
-        f = Fraction(self.numerator, self.denominator)
-        f -= math.floor(f)
-        object.__setattr__(self, "numerator", f.numerator)
-        object.__setattr__(self, "denominator", f.denominator)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> Turn:
-        return cls(f.numerator, f.denominator)
+        den = abs(self.denominator)
+        # A zero denominator raises ZeroDivisionError here, which parse reports.
+        num = (self.numerator if self.denominator > 0 else -self.numerator) % den
+        g = math.gcd(num, den)
+        object.__setattr__(self, "numerator", num // g)
+        object.__setattr__(self, "denominator", den // g)
 
     @classmethod
     def parse(cls, text: str) -> Turn:
@@ -87,25 +85,27 @@ class Turn:
         return self.numerator == 0
 
     def __add__(self, other: Turn) -> Turn:
-        return Turn.from_fraction(self.fraction + other.fraction)
+        return Turn(self.numerator * other.denominator + other.numerator * self.denominator,
+                    self.denominator * other.denominator)
 
     def __sub__(self, other: Turn) -> Turn:
-        return Turn.from_fraction(self.fraction - other.fraction)
+        return Turn(self.numerator * other.denominator - other.numerator * self.denominator,
+                    self.denominator * other.denominator)
 
     def __neg__(self) -> Turn:
-        return Turn.from_fraction(-self.fraction)
+        return Turn(-self.numerator, self.denominator)
 
     def __mul__(self, count: int) -> Turn:
-        return Turn.from_fraction(self.fraction * count)
+        return Turn(self.numerator * count, self.denominator)
 
     __rmul__ = __mul__
 
     def root(self, count: int) -> Turn:
-        """One exact count-th root; any choice differs by a multiple of
-        1/count and callers never depend on which branch is taken."""
+        """The count-th root t/count of the representative t in [0, 1);
+        any other choice differs by a multiple of 1/count."""
         if count < 1:
             raise InvalidInputError("root count must be positive")
-        return Turn.from_fraction(self.fraction / count)
+        return Turn(self.numerator, self.denominator * count)
 
     def as_complex(self) -> complex:
         return cmath.exp(2j * math.pi * self.numerator / self.denominator)
@@ -147,19 +147,19 @@ class RingSpec:
     family: dict
 
     def add(self, x: int, y: int) -> int:
-        return int(self.add_table[x, y])
+        return self.add_table.item(x, y)
 
     def sub(self, x: int, y: int) -> int:
-        return int(self.add_table[x, self.neg_table[y]])
+        return self.add_table.item(x, self.neg_table.item(y))
 
     def neg(self, x: int) -> int:
-        return int(self.neg_table[x])
+        return self.neg_table.item(x)
 
     def mul(self, x: int, y: int) -> int:
-        return int(self.mul_table[x, y])
+        return self.mul_table.item(x, y)
 
     def epsilon(self, x: int) -> Turn:
-        return Turn(int(self.eps_num[x]), self.eps_den)
+        return Turn(self.eps_num.item(x), self.eps_den)
 
     def elements(self) -> range:
         return range(self.size)

@@ -11,10 +11,13 @@ where <b, a'> is the phase pairing turn.  Commutators land in the
 scalars; their value is the alternating bicharacter ``omega`` of the
 label pairs, which is what stabiliser analysis runs on.
 
-Group closure and phase fixing share one label walk: a table of one
-representative element per label, whose Schreier scalars generate the
-scalar subgroup Z.  So |G| = |L| * |Z| is known, and the group bound
-checked, before any table is allocated.
+``weyl_mul``, ``weyl_inv``, ``commutator`` and ``omega`` stay scalar,
+as the reference for the array paths.  A group is held as arrays: its
+sorted label indices in the doubled space, one turn numerator per label
+over one group denominator D, and the order |Z| of its scalar subgroup.
+Closure and phase fixing share one label walk that grows those arrays
+coset by coset; its Schreier scalars generate Z, so |G| = |L| * |Z| is
+known, and the bound checked, before any larger table is built.
 """
 
 from __future__ import annotations
@@ -23,14 +26,18 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import TURN_ZERO, Turn, index_span, indices_of, turn_sort_key
+from .rings import TURN_ZERO, Turn, digits, index_span, indices_of, lookup
 from .spaces import (
+    BLOCK,
     PhaseSpace,
     Submodule,
     Vector,
     _check_vector,
     _first_nontrivial,
+    _form,
     form_eval,
     phase_pairing,
 )
@@ -105,34 +112,49 @@ def commutator(space: PhaseSpace, e1: WeylElement, e2: WeylElement) -> Turn:
     return prod.turn
 
 
-def _element_key(e: WeylElement):
-    return (e.shift, e.phase, turn_sort_key(e.turn))
-
-
 class StabiliserGroup:
-    """A finite, multiplicatively closed set of Weyl elements."""
+    """A finite group of Weyl elements, held as arrays.
 
-    def __init__(self, space: PhaseSpace, generators, elements):
-        self.space = space
-        self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements, key=_element_key))
-        self._element_set = frozenset(self.elements)
+    ``labels`` is the sorted, read-only int64 array of its distinct labels
+    (a, b) as indices in the doubled space (the ``rings.index_span``
+    encoding).  ``turns[i]`` is the numerator, over the group denominator
+    D = ``denominator``, of one element with label ``labels[i]``; the
+    others with that label differ from it by the scalars j /
+    ``scalar_order``.  ``elements`` is a view in (shift, phase, turn)
+    order; ``generators`` are kept as given.
+    """
+
+    def __init__(self, space: PhaseSpace, generators, labels, turns=(), denominator: int = 1,
+                 scalar_order: int = 1):
+        self.space, self.generators = space, tuple(generators)
+        self.denominator, self.scalar_order = denominator, scalar_order
+        keep = np.argsort(labels)
+        self.labels = np.asarray(labels, dtype=np.int64)[keep]
+        self.turns = np.asarray(turns, dtype=np.int64)[keep] % denominator
+        self.labels.setflags(write=False)
+        self.turns.setflags(write=False)
+
+    @cached_property
+    def elements(self) -> tuple[WeylElement, ...]:
+        space, z, r = self.space, self.scalar_order, self.space.rank
+        rows = digits(self.labels, space.ring.size, 2 * r)
+        order = np.lexsort(rows.T[::-1])
+        den = math.lcm(self.denominator, z)
+        nums = np.sort((self.turns[order, None] * (den // self.denominator)
+                        + np.arange(z) * (den // z)) % den)
+        return tuple(WeylElement(Turn(n, den), tuple(row[:r]), tuple(row[r:]))
+                     for row, ns in zip(rows[order].tolist(), nums.tolist()) for n in ns)
 
     @cached_property
     def scalar_turns(self) -> tuple[Turn, ...]:
-        zero = self.space.zero_vector()
-        turns = {e.turn for e in self.elements if e.shift == zero and e.phase == zero}
-        return tuple(sorted(turns, key=turn_sort_key))
+        return tuple(Turn(j, self.scalar_order) for j in range(self.scalar_order))
 
     @property
     def scalar_free(self) -> bool:
-        return self.scalar_turns == (TURN_ZERO,)
-
-    def __contains__(self, e: WeylElement) -> bool:
-        return e in self._element_set
+        return self.scalar_order == 1
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.labels.size * self.scalar_order
 
     def __iter__(self):
         return iter(self.elements)
@@ -141,12 +163,23 @@ class StabiliserGroup:
         return f"<stabiliser group of order {len(self)}>"
 
 
-def _powers(space: PhaseSpace, g: WeylElement, count: int) -> list[WeylElement]:
-    """g^0, g^1, ..., g^count."""
-    out = [identity_element(space)]
-    for _ in range(count):
-        out.append(weyl_mul(space, out[-1], g))
-    return out
+# A table entry sums three numerators below D, and D divides eps_den * |G|
+# (o * t is in (1 / eps_den)Z for an element of order o and turn t).
+_MAX_DENOMINATOR = 1 << 60
+
+
+def _find(labels: np.ndarray, label) -> int:
+    """Position of the label in the sorted array, or -1."""
+    at = int(labels.searchsorted(label))
+    return at if at < labels.size and labels[at] == label else -1
+
+
+def _mul_many(space: PhaseSpace, den: int, x, y):
+    """``weyl_mul`` on broadcasting arrays of elements, each a pair of
+    turn numerators over den and joined label rows."""
+    ring, r = space.ring, space.rank
+    cross = ring.eps_num[_form(space, x[1][..., r:], y[1][..., :r])] * (den // ring.eps_den)
+    return (x[0] + y[0] + cross) % den, lookup(ring.add_table, x[1], y[1])
 
 
 def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
@@ -154,41 +187,64 @@ def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
     generator at a time.
 
     A generator g with label c first lands in the table at its least
-    multiple d*c and adds the cosets L + j*c (j < d) as rep(l) * g^j.
-    By Schreier's lemma its scalar g^d * rep(d*c)^-1 and its omega with
-    the earlier table-growing generators generate the scalar group Z,
-    cyclic of order the lcm of their denominators.  The partial
-    |L| * |Z| only grows; it is checked against the bound before each
-    larger table is built.  ``retune`` first moves each turn t to
-    (d*t - scalar).root(d), which zeroes that generator's scalar.
-    Returns the table, the generators that grew it, and |Z|.
+    multiple d*c and adds the cosets L + j*c (j < d) as rep(l) * g^j, in
+    one batched product.  By Schreier's lemma its scalar g^d * rep(d*c)^-1
+    and its omega with the earlier table-growing generators generate the
+    scalar group Z, cyclic of order the lcm of their denominators.  The
+    partial |L| * |Z| only grows; it is checked against the bound, in
+    Python integers, before each larger table is built.  ``retune`` first
+    moves each turn t to (d*t - scalar).root(d), which zeroes that scalar:
+    D is multiplied by d and the numerator reduced mod D, then divided.
+
+    Returns the sorted labels, their turn numerators over D, D, the
+    generators that grew the table, and |Z|.
     """
-    ident = identity_element(space)
-    table: dict[Vector, WeylElement] = {join_label(ident.label): ident}
-    grown: list[WeylElement] = []
-    order = 1
-    for g in generators:
-        c = join_label(g.label)
-        d, multiple = 1, c
-        while multiple not in table:
-            multiple = space.add_vec(multiple, c)
-            d += 1
-        target = table[multiple].turn
-        powers = _powers(space, g, d)
-        if retune:
-            g = WeylElement((d * g.turn - powers[d].turn + target).root(d), g.shift, g.phase)
-            powers = _powers(space, g, d)
-        scalars = [powers[d].turn - target]
+    ring, r = space.ring, space.rank
+    m, eps = ring.size, ring.eps_den
+    gen_rows = np.array([join_label(g.label) for g in generators],
+                        dtype=np.intp).reshape(-1, 2 * r)
+    coords = np.full((1, 2 * r), ring.zero, dtype=np.intp)
+    labels, turns, den, order = indices_of(coords, m), np.zeros(1, dtype=np.int64), eps, 1
+    grown, grown_rows = [], []
+    for g, c in zip(generators, gen_rows):
+        multiple, mults = c, [coords[0]]
+        while (at := _find(labels, int(indices_of(multiple, m)))) < 0:
+            mults.append(multiple)
+            multiple = lookup(ring.add_table, multiple, c)
+        d, target, mults = len(mults), int(turns[at]), np.array(mults, dtype=np.intp)
+        # g^j has turn j*t + pairs[j] / eps_den: pairs[j] sums <i*b, a> over i < j.
+        pairs = [0, 0]
         if d > 1:
-            scalars += [omega(space, g.label, h.label) for h in grown]
-        order = math.lcm(order, *(t.denominator for t in scalars))
-        if len(table) * d * order > bound:
+            pairs += np.cumsum(ring.eps_num[_form(space, mults[1:, r:], c[None, :r])]).tolist()
+        if retune:
+            grid, num, dens = den * d, (target - pairs[d] * (den // eps)) % den, []
+            g = WeylElement(Turn(num, grid), g.shift, g.phase)
+        else:
+            grid = math.lcm(den, g.turn.denominator)
+            num = g.turn.numerator * (grid // g.turn.denominator)
+            dens = [Turn(d * num + pairs[d] * (grid // eps) - target * (grid // den), grid)
+                    .denominator]
+        if d > 1 and grown:
+            # omega(g, h) is the turn of g*h less that of h*g.
+            h = (0, np.array(grown_rows))
+            omegas = _mul_many(space, eps, (0, c), h)[0] - _mul_many(space, eps, h, (0, c))[0]
+            dens += (eps // np.gcd(omegas, eps)).tolist()
+        order = math.lcm(order, *dens)
+        if labels.size * d * order > bound:
             raise ResourceLimitError(f"group closure exceeded the bound of {bound} elements")
         if d > 1:
-            products = (weyl_mul(space, e, p) for e in table.values() for p in powers[:d])
-            table = {join_label(x.label): x for x in products}
+            if grid > _MAX_DENOMINATOR:
+                raise ResourceLimitError("group turns need a denominator past 2^60")
+            powers = [(j * num + pairs[j] * (grid // eps)) % grid for j in range(d)]
+            reps = (turns[:, None] * (grid // den), coords[:, None])
+            turns, coords = _mul_many(space, grid, reps, (np.array(powers), mults))
+            coords = coords.reshape(-1, 2 * r).astype(np.intp)
+            labels = indices_of(coords, m)
+            keep = np.argsort(labels)
+            labels, turns, coords, den = labels[keep], turns.reshape(-1)[keep], coords[keep], grid
             grown.append(g)
-    return table, grown, order
+            grown_rows.append(c)
+    return labels, turns, den, grown, order
 
 
 def group_closure(space: PhaseSpace, generators,
@@ -204,13 +260,8 @@ def group_closure(space: PhaseSpace, generators,
     for g in gens:
         if len(g.shift) != space.rank or len(g.phase) != space.rank:
             raise InvalidInputError("generator labels do not match the space rank")
-    table, _, order = _label_walk(space, gens, bound, retune=False)
-    elems = [
-        WeylElement(rep.turn + Turn(j, order), rep.shift, rep.phase)
-        for rep in table.values()
-        for j in range(order)
-    ]
-    return StabiliserGroup(space, gens, elems)
+    labels, turns, den, _, order = _label_walk(space, gens, bound, retune=False)
+    return StabiliserGroup(space, gens, labels, turns, den, order)
 
 
 def is_abelian_mod_scalars(s: StabiliserGroup) -> bool:
@@ -253,9 +304,8 @@ def label_module_of(s: StabiliserGroup) -> Submodule:
     non-cyclic ring, not necessarily under scalars, so the result is an
     additive module.
     """
-    labels = indices_of([join_label(e.label) for e in s.elements], s.space.ring.size)
     gen_labels = [join_label(g.label) for g in s.generators]
-    return Submodule(s.space, gen_labels, labels, doubled=True, r_closed=False)
+    return Submodule(s.space, gen_labels, s.labels, doubled=True, r_closed=False)
 
 
 def is_isotropic(space: PhaseSpace, l: Submodule) -> bool:
@@ -312,15 +362,12 @@ def phase_fix(s: StabiliserGroup) -> StabiliserGroup:
     if not is_abelian_mod_scalars(s):
         raise InvalidInputError("phase fixing needs an abelian-mod-scalars group")
 
-    table, new_gens, order = _label_walk(space, s.generators, len(s), retune=True)
-    fixed = StabiliserGroup(space, new_gens, table.values())
+    labels, turns, den, new_gens, order = _label_walk(space, s.generators, len(s), retune=True)
     if order != 1:
         raise ConsistencyError("phase fixing left an irreducible scalar")
-    if {join_label(e.label) for e in fixed.elements} != {
-        join_label(e.label) for e in s.elements
-    }:
+    if not np.array_equal(labels, s.labels):
         raise ConsistencyError("phase fixing changed the label set")
-    return fixed
+    return StabiliserGroup(space, new_gens, labels, turns, den)
 
 
 def code_dimension(space: PhaseSpace, s: StabiliserGroup) -> int:
@@ -345,19 +392,27 @@ def noncommutativity_witness(space: PhaseSpace) -> LabelPair | None:
 
 
 def reconstruct_pairing(space: PhaseSpace) -> dict[tuple[Vector, Vector], Turn]:
-    """Recover the phase pairing from group commutators alone.
+    """Recover the phase pairing from the group product alone.
 
-    For each pair, commute a pure shift against a pure phase with the
-    group operations only, then invert the relation
-    T_a M_b = pairing(b, a)^-1 M_b T_a.  The table is keyed (b, a).
+    Every pure shift T_a is multiplied with every pure phase M_b in both
+    orders, a block of shifts at a time: M_b T_a = pairing(b, a) T_a M_b,
+    so the pairing is the difference of the two turns.  The table is
+    keyed (b, a).
     """
     if space.size * space.size > (1 << 20):
         raise ResourceLimitError("pairing reconstruction table would be too large")
-    zero = space.zero_vector()
+    den, zero = space.ring.eps_den, np.full_like(space.coords, space.ring.zero)
+    phase = (0, np.concatenate([zero, space.coords], axis=1))
+    vectors = list(map(tuple, space.coords.tolist()))
+    turn_of = [Turn(j, den) for j in range(den)]
     table: dict[tuple[Vector, Vector], Turn] = {}
-    for a in space.vectors():
-        shift = WeylElement(TURN_ZERO, a, zero)
-        for b in space.vectors():
-            phase = WeylElement(TURN_ZERO, zero, b)
-            table[(b, a)] = -commutator(space, shift, phase)
+    chunk = max(1, BLOCK // space.size)
+    for start in range(0, space.size, chunk):
+        shift = (0, np.concatenate([space.coords, zero], axis=1)[start : start + chunk, None])
+        (forward, left), (backward, right) = (_mul_many(space, den, shift, phase),
+                                              _mul_many(space, den, phase, shift))
+        if not np.array_equal(left, right):
+            raise ConsistencyError("commutator left the scalar subgroup")
+        for a, row in zip(vectors[start:], ((backward - forward) % den).tolist()):
+            table.update(((b, a), turn_of[j]) for b, j in zip(vectors, row))
     return table

@@ -170,6 +170,20 @@ def test_stabiliser_command_anticommuting(tmp_path, capsys):
     assert "omega 3/4" in out
 
 
+@pytest.mark.parametrize("command", ["stabiliser", "oracle"])
+def test_turn_past_int64_is_refused_by_the_group_bound(tmp_path, capsys, command):
+    # A turn of 1/10^30 gives the scalar subgroup an order far past the
+    # bound; it must be refused as such, never wrap in a fixed-width grid.
+    doc = {
+        "ring": {"family": "zm", "m": 4},
+        "space": {"k": 1, "n": 1},
+        "stabiliser": {"generators": [{"turn": "1/" + "1" + "0" * 30, "a": [1], "b": [0]}]},
+    }
+    code, out, err = _run(capsys, command, "--scenario", _write(tmp_path, doc))
+    assert code == 3
+    assert "group closure exceeded the bound of 4096 elements" in err
+
+
 def test_protect_command(tmp_path, capsys):
     code, out, _ = _run(capsys, "protect", "--scenario", _write(tmp_path, Z4_SCENARIO))
     assert code == 0

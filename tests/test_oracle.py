@@ -8,6 +8,9 @@ have to survive contact with explicit complex matrices.
 import numpy as np
 import pytest
 
+import frobqec.analysis
+import frobqec.spaces
+import frobqec.weyl
 from frobqec import (
     DiagnosticError,
     InvalidInputError,
@@ -19,10 +22,15 @@ from frobqec import (
     group_closure,
     identity_element,
     is_isotropic,
+    make_product,
+    make_space,
+    make_zm,
     numeric_commutation_check,
     phase_fix,
+    phase_pairing,
     projector_rank,
     stabiliser_of_labels,
+    submodule_span,
     weyl_element,
     weyl_matrix,
     weyl_mul,
@@ -163,6 +171,56 @@ def test_projector_is_idempotent_and_fixed(z4_line, f2u_line):
                 moved = apply_weyl(space, e, p)
                 assert np.max(np.abs(moved - p)) < 1e-9
             assert projector_rank(space, fixed) == code_dimension(space, fixed)
+
+
+@pytest.mark.parametrize(
+    "ring_name, k, n, form",
+    [
+        ("z4", 1, 2, None),
+        ("f2u", 2, 1, ((0, 1), (1, 0))),
+        ("z6", 1, 2, None),
+        ("z2xz2", 2, 1, ((1, 3), (3, 0))),
+    ],
+)
+def test_oracle_runs_without_the_exact_form_kernel(request, monkeypatch, ring_name, k, n, form):
+    if ring_name == "z2xz2":
+        ring = make_product(make_zm(2), make_zm(2))
+    else:
+        ring = request.getfixturevalue(ring_name)
+    space = std_space(ring, k, n) if form is None else make_space(ring, k, n, form)
+    rng = np.random.default_rng(20261018)
+    vec = lambda: tuple(int(x) for x in rng.integers(0, ring.size, space.rank))
+    elements = [weyl_element(space, Turn(int(rng.integers(8)), 8), vec(), vec()) for _ in range(6)]
+    # Reference matrices from the scalar pairing: column y goes to row
+    # x = y + shift with the turn times character(form(phase, y)).
+    references = []
+    for e in elements:
+        ref = np.zeros((space.size, space.size), dtype=complex)
+        for x, v in enumerate(space.vectors()):
+            y = space.sub_vec(v, e.shift)
+            turn = e.turn + phase_pairing(space, e.phase, y)
+            ref[x, space.vector_index(y)] = turn.as_complex()
+        references.append(ref)
+    # Labels (x, x) of a symmetric form commute, and so do pure shifts.
+    zero = space.zero_vector()
+    groups = []
+    for pair in ([vec(), vec()], [vec()], [zero]):
+        for labels in ([x + x for x in pair], [x + zero for x in pair]):
+            module = submodule_span(space, labels, doubled=True)
+            groups.append(phase_fix(stabiliser_of_labels(space, module)))
+    groups.append(group_closure(space, [weyl_element(space, Turn(1, 2), zero, zero)]))
+    dimensions = [code_dimension(space, s) for s in groups]
+    assert any(dimensions) and len(set(dimensions)) > 1
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran the exact side's form kernel")
+
+    for module in (frobqec.spaces, frobqec.weyl, frobqec.analysis):
+        monkeypatch.setattr(module, "_form", refuse)
+    basis = np.eye(space.size, dtype=complex)
+    for e, ref in zip(elements, references):
+        assert np.max(np.abs(apply_weyl(space, e, basis) - ref)) < 1e-9
+    assert [projector_rank(space, s) for s in groups] == dimensions
 
 
 def test_apply_weyl_guards(z2, z4, z4_line):

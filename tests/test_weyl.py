@@ -7,6 +7,7 @@ relations rather than in any single generator's own order.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from frobqec import (
     is_isotropic,
     join_label,
     label_module_of,
+    make_space,
     noncommutativity_witness,
     offending_pair,
     omega,
@@ -41,7 +43,6 @@ from frobqec import (
     weyl_mul,
 )
 from frobqec.rings import TURN_ZERO
-from frobqec.weyl import DEFAULT_GROUP_BOUND
 
 from conftest import std_space
 
@@ -314,27 +315,58 @@ def test_walk_matches_brute_force_closure(request, ring_name, k, n):
     assert all(seen.values()), seen
 
 
-def test_closure_refuses_the_bound_before_building(z2, monkeypatch):
+@pytest.mark.parametrize(
+    "ring_name, n, turns, diagonal",
+    [
+        ("z4", 2, ((1, 8), (1, 3)), False),
+        ("z4", 2, ((3, 8), (0, 1)), True),
+        ("z2", 3, ((1, 4), (1, 8), (3, 8)), False),
+        ("z6", 2, ((1, 5), (1, 7)), True),
+    ],
+)
+def test_phase_fix_retunes_every_growing_generator(request, ring_name, n, turns, diagonal):
+    # Commuting labels (e_i, 0) or (e_i, e_i), turns off the ring's grid:
+    # each generator grows the label table by the order |R| of its label,
+    # so each is retuned and multiplies the group denominator by |R|.
+    space = std_space(request.getfixturevalue(ring_name), 1, n)
+    ring = space.ring
+    zero = space.zero_vector()
+    units = [tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)]
+    gens = [_w(space, Turn(*t), e, e if diagonal else zero) for t, e in zip(turns, units)]
+    s = group_closure(space, gens)
+    assert not s.scalar_free
+    fixed = phase_fix(s)
+    assert fixed.denominator == ring.eps_den * ring.size**n
+    assert len(fixed.generators) == n
+    assert fixed.scalar_free and _labels(fixed) == _labels(s)
+    assert set(fixed.elements) == _brute_closure(space, fixed.generators, len(fixed))
+
+
+def test_closure_refuses_the_bound_before_building(z2):
     # The full Weyl group of Z_2 on 12 sites has 2^25 elements; the walk
-    # must see that from the label table long before it is built.
+    # must see that from the label table long before it is built.  A
+    # table at the bound, 4096 labels of 24 coordinates, is under 1 MiB;
+    # one built past it would be tens of MiB.
     space = std_space(z2, 1, 12)
     zero = space.zero_vector()
     units = [tuple(int(i == j) for j in range(space.rank)) for i in range(space.rank)]
     gens = [_w(space, T0, e, zero) for e in units] + [_w(space, T0, zero, e) for e in units]
-    limit = 10 * DEFAULT_GROUP_BOUND
-    calls = 0
-    real_mul = frobqec.weyl.weyl_mul
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            group_closure(space, gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"refusing the closure peaked at {peak} bytes"
 
-    def counting_mul(*args):
-        nonlocal calls
-        calls += 1
-        assert calls < limit, "closure kept multiplying past 10 * bound"
-        return real_mul(*args)
 
-    monkeypatch.setattr(frobqec.weyl, "weyl_mul", counting_mul)
+def test_closure_refuses_a_denominator_past_the_turn_grid(z2_line):
+    # A bound far past any real table lets a turn of 1/10^20 through the
+    # order check; its denominator would wrap int64 numerators.
+    g = _w(z2_line, Turn(1, 10**20), (1,), (0,))
     with pytest.raises(ResourceLimitError):
-        group_closure(space, gens)
-    assert 0 < calls < limit
+        group_closure(z2_line, [g], bound=10**30)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +484,9 @@ def test_phase_fix_every_isotropic_module(z4_line, f2u_line):
 
 def test_code_dimension_divisibility_guard(z4_line):
     bad = group_closure(z4_line, [_w(z4_line, T0, (2,), (0,))])
-    forged = type(bad)(z4_line, bad.generators, list(bad.elements)[:1] * 3)
+    # Three labels with scalar-free turns: an order that cannot divide 4.
+    forged = type(bad)(z4_line, bad.generators, [0, 1, 2], [0, 0, 0], 4)
+    assert forged.scalar_free and len(forged) == 3
     with pytest.raises(ConsistencyError):
         code_dimension(z4_line, forged)
 
@@ -465,8 +499,12 @@ def test_noncommutativity_witness(z4_line, z2_line):
     assert noncommutativity_witness(z2_line) == ((1,), (1,))
 
 
-def test_reconstruct_pairing_matches_direct_values(z4_line, f2u_line):
-    for space in (z4_line, f2u_line):
+def test_reconstruct_pairing_matches_direct_values(z4_line, f2u_line, z6, f2u):
+    # The batched products run on the same form kernel as the reference
+    # numerators of the acceptance criteria, so check them against the
+    # scalar pairing, on a non-identity form as well.
+    spaces = (z4_line, f2u_line, std_space(z6, 1, 2), make_space(f2u, 2, 1, ((U, 1), (1, 0))))
+    for space in spaces:
         table = reconstruct_pairing(space)
         assert len(table) == space.size**2
         for (b, a), turn in table.items():
