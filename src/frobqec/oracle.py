@@ -99,11 +99,19 @@ def projector_rank(space: PhaseSpace, s: StabiliserGroup) -> int:
         raise ResourceLimitError(f"carrier size {space.size} exceeds {MATRIX_BOUND}")
     if len(s) > GROUP_BOUND:
         raise ResourceLimitError(f"group order {len(s)} exceeds {GROUP_BOUND}")
-    basis = np.eye(space.size, dtype=complex)
+    return matrix_rank_with_dead_band(_group_sum(space, s) / len(s))
+
+
+def _group_sum(space: PhaseSpace, s: StabiliserGroup) -> np.ndarray:
+    """The sum of the elements' matrices.  Row i of an element's matrix
+    holds one entry, at column perm[i], so each element's entries are
+    added in place rather than multiplied out of a dense identity."""
+    rows = np.arange(space.size)
     total = np.zeros((space.size, space.size), dtype=complex)
     for e in s.elements:
-        total += apply_weyl(space, e, basis)
-    return matrix_rank_with_dead_band(total / len(s))
+        perm = _shift_permutation(space, e.shift)
+        total[rows, perm] += e.turn.as_complex() * _phase_column(space, e.phase)[perm]
+    return total
 
 
 def matrix_rank_with_dead_band(matrix: np.ndarray,

@@ -7,8 +7,7 @@ tables are stored in ``TABLE_DTYPE``, the smallest unsigned type that
 holds every index (uint16, 32 MB per table at the 4096 bound).  numpy
 converts such index arrays to intp on every fancy index, on a slow path
 when there are two of them, so hot gathers indexed by table values go
-through ``lookup`` (one flat intp index) or, in the exhaustive triple
-sweep of the validation, through intp copies of the tables.
+through ``lookup`` (one flat intp index).
 The constructors verify the ring axioms and the generating property of
 the character at build time, so downstream code never re-proves them.
 
@@ -31,15 +30,18 @@ from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 MAX_RING_SIZE = 4096
 TABLE_DTYPE = np.min_scalar_type(MAX_RING_SIZE - 1)
 
-# Pairwise laws are always checked over all |R|^2 combinations.  The
-# triple laws (associativity, distributivity) switch to seeded random
-# triples above this size to stay under a second at the 4096 bound.
+# Pairwise laws are always checked over all |R|^2 combinations.  Up to
+# this size the triple laws (associativity, distributivity) are proven
+# for all triples by Light's test on additive generators, at |S| |R|^2
+# cost; above it, where that cost outgrows the rest of a build, seeded
+# random triples are checked instead.
 EXHAUSTIVE_TRIPLE_LIMIT = 256
 _TRIPLE_SAMPLES = 1000
 _TRIPLE_SEED = 20260822
-# The character's additivity check and the exhaustive triple sweep run
-# on blocks of at most this many table entries or triples, so neither
-# needs |R|^2 (or |R|^3) int64 temporaries.
+# The character's additivity check runs on blocks of at most this many
+# table entries, and the commutativity checks on square tiles of this
+# many, so no check needs an |R|^2 int64 temporary or reads a whole
+# table in transposed order.
 _CHECK_BLOCK = 1 << 16
 
 
@@ -317,20 +319,29 @@ def _check_modulus(m: int) -> None:
 
 def _validate_ring(spec: RingSpec) -> None:
     """Exhaustive construction-time verification.  Failures raise
-    ConsistencyError: they mean the builder is wrong, not the caller."""
+    ConsistencyError: they mean the builder is wrong, not the caller.
+
+    Up to ``EXHAUSTIVE_TRIPLE_LIMIT`` elements the triple laws are proven
+    on additive generators (Light's test; Clifford and Preston, The
+    Algebraic Theory of Semigroups I, AMS 1961).  The z with (x+y)+z =
+    x+(y+z) for all x, y hold zero and are closed under +; given that,
+    so are the z with x(y+z) = xy+xz, and given both, the z with (xy)z =
+    x(yz).  So a law that holds for z in a set S generating (R, +) holds
+    for every triple.
+    """
     n = spec.size
     idx = np.arange(n)
     a, m_ = spec.add_table, spec.mul_table
     for table in (a, m_):
         if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
             raise ConsistencyError("table shape or range is off")
-    if not np.array_equal(a, a.T):
+    if not _is_symmetric(a):
         raise ConsistencyError("addition is not commutative")
     if not np.array_equal(a[spec.zero], idx):
         raise ConsistencyError("zero is not an additive identity")
     if not np.array_equal(a[idx, spec.neg_table], np.full(n, spec.zero)):
         raise ConsistencyError("negation table is wrong")
-    if not np.array_equal(m_, m_.T):
+    if not _is_symmetric(m_):
         raise ConsistencyError("multiplication is not commutative")
     if not np.array_equal(m_[spec.one], idx):
         raise ConsistencyError("one is not a multiplicative identity")
@@ -346,25 +357,15 @@ def _validate_ring(spec: RingSpec) -> None:
         raise ConsistencyError("character is not generating")
 
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
-        # Blocks of x with at most _CHECK_BLOCK triples each: intp copies
-        # of the tables spare numpy the index conversion on every gather,
-        # and three reused outputs spare the allocator a fresh block per
-        # gather ("clip" only skips take's own copy: indices are in range).
-        a, m_ = a.astype(np.intp), m_.astype(np.intp)
-        rows = max(1, min(n, _CHECK_BLOCK // (n * n)))
-        buffers = np.empty((3, rows, n, n), dtype=np.intp)
-        for start in range(0, n, rows):
-            ax, mx = a[start : start + rows], m_[start : start + rows]
-            lhs, rhs, flat = buffers[:, : len(ax)]
-            # (x + y) + z = a[a[x, y], z] against x + (y + z) = a[x, a[y, z]]
-            if not np.array_equal(a.take(ax, 0, lhs, "clip"), ax.take(a, 1, rhs, "clip")):
-                raise ConsistencyError("addition is not associative")
-            if not np.array_equal(m_.take(mx, 0, lhs, "clip"), mx.take(m_, 1, rhs, "clip")):
-                raise ConsistencyError("multiplication is not associative")
-            # x(y + z) = m[x, a[y, z]] against xy + xz = a[m[x, y], m[x, z]]
-            np.add(mx[:, :, None] * n, mx[:, None, :], out=flat)
-            if not np.array_equal(mx.take(a, 1, lhs, "clip"), a.take(flat, None, rhs, "clip")):
-                raise ConsistencyError("multiplication does not distribute")
+        # Axes [x, y, s]; each law is checked over all of S before the next.
+        gens = _additive_generators(spec)
+        a_s, m_s = a[:, gens], m_[:, gens]
+        if not np.array_equal(a_s[a], a[:, a_s]):
+            raise ConsistencyError("addition is not associative")
+        if not np.array_equal(m_s[m_], m_[:, m_s]):
+            raise ConsistencyError("multiplication is not associative")
+        if not np.array_equal(m_[:, a_s], lookup(a, m_[:, :, None], m_s[:, None, :])):
+            raise ConsistencyError("multiplication does not distribute")
     else:
         rng = np.random.default_rng(_TRIPLE_SEED)
         x, y, z = rng.integers(0, n, size=(3, _TRIPLE_SAMPLES))
@@ -377,6 +378,42 @@ def _validate_ring(spec: RingSpec) -> None:
 
     for table in (spec.add_table, spec.mul_table, spec.neg_table, spec.eps_num):
         table.setflags(write=False)
+
+
+def _is_symmetric(table: np.ndarray) -> bool:
+    """``table == table.T``, tile by tile against the mirror tile: a
+    tile's transposed read stays in cache where a whole table's does not."""
+    side = math.isqrt(_CHECK_BLOCK)
+    starts = range(0, len(table), side)
+    return all(
+        np.array_equal(table[i : i + side, j : j + side], table[j : j + side, i : i + side].T)
+        for i in starts for j in starts if j >= i
+    )
+
+
+def _additive_generators(spec: RingSpec) -> list[int]:
+    """A set S that generates (R, +), read from the add table alone.
+
+    The least element not yet reached joins S, and the reached set grows
+    from zero by x -> x + s for every s in S.  Reached elements are
+    left-nested sums ((0 + s1) + s2) + ..., so the closure does not rely
+    on associativity; it does rely on 0 + s = s, checked before the
+    call.  |S| is 1 for Z_m and e for chain(m, e).
+    """
+    reached = {spec.zero}
+    gens: list[int] = []
+    columns: list[list[int]] = []  # columns[i][x] = x + gens[i]
+    while len(reached) < spec.size:
+        gens.append(next(x for x in range(spec.size) if x not in reached))
+        columns.append(spec.add_table[:, gens[-1]].tolist())
+        stack = list(reached)
+        while stack:
+            x = stack.pop()
+            for column in columns:
+                if column[x] not in reached:
+                    reached.add(column[x])
+                    stack.append(column[x])
+    return gens
 
 
 # ---------------------------------------------------------------------------

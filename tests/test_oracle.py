@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import frobqec.analysis
+import frobqec.oracle as oracle
 import frobqec.spaces
 import frobqec.weyl
 from frobqec import (
@@ -151,12 +152,31 @@ def test_projector_rank_fixed_mixed_group(f2u_plane):
     assert projector_rank(f2u_plane, fixed) == 4
 
 
-def _projector(space, s):
+def _dense_sum(space, s):
+    """Reference: the elements' full matrices, added in group order."""
     basis = np.eye(space.size, dtype=complex)
     total = np.zeros((space.size, space.size), dtype=complex)
     for e in s.elements:
         total += apply_weyl(space, e, basis)
-    return total / len(s)
+    return total
+
+
+def _projector(space, s):
+    return _dense_sum(space, s) / len(s)
+
+
+@pytest.mark.parametrize("ring_name, k, n", [("z2", 1, 3), ("z4", 1, 2), ("f2u", 2, 1), ("z6", 1, 2)])
+def test_scattered_group_sum_is_bit_identical_to_dense(request, ring_name, k, n):
+    ring = request.getfixturevalue(ring_name)
+    space = std_space(ring, k, n)
+    rng = np.random.default_rng(20261018)
+    vec = lambda: tuple(int(x) for x in rng.integers(0, ring.size, space.rank))
+    for _ in range(6):
+        gens = [weyl_element(space, Turn(int(rng.integers(4)), 4), vec(), vec())
+                for _ in range(int(rng.integers(1, 3)))]
+        s = group_closure(space, gens)
+        total = oracle._group_sum(space, s)
+        assert total.tobytes() == _dense_sum(space, s).tobytes()
 
 
 def test_projector_is_idempotent_and_fixed(z4_line, f2u_line):

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -458,6 +460,116 @@ def test_exhaustive_sweep_catches_one_broken_entry(name, pair, message):
     ring = make_chain_ring(2, 8)
     with pytest.raises(ConsistencyError, match=message):
         rings._validate_ring(_tampered(ring, name, {pair: 0}))
+
+
+def _first_broken_law(ring, zs=None):
+    """Reference: the message of the first law of ``_validate_ring``, in
+    its order, that fails by brute force over all pairs and all triples
+    (x, y, z), z in ``zs`` (default: every element), or None."""
+    elems = range(ring.size)
+    pairs = list(itertools.product(elems, repeat=2))
+    triples = list(itertools.product(elems, elems, elems if zs is None else zs))
+    a, m, neg = ring.add_table.tolist(), ring.mul_table.tolist(), ring.neg_table.tolist()
+    eps, den = ring.eps_num.tolist(), ring.eps_den
+    laws = [
+        ("addition is not commutative", lambda: all(a[x][y] == a[y][x] for x, y in pairs)),
+        ("zero is not an additive identity", lambda: all(a[ring.zero][x] == x for x in elems)),
+        ("negation table is wrong", lambda: all(a[x][neg[x]] == ring.zero for x in elems)),
+        ("multiplication is not commutative", lambda: all(m[x][y] == m[y][x] for x, y in pairs)),
+        ("one is not a multiplicative identity", lambda: all(m[ring.one][x] == x for x in elems)),
+        ("character is not additive",
+         lambda: all((eps[a[x][y]] - eps[x] - eps[y]) % den == 0 for x, y in pairs)),
+        ("character is not generating",
+         lambda: len({tuple(eps[m[x][y]] % den for y in elems) for x in elems}) == ring.size),
+        ("addition is not associative",
+         lambda: all(a[a[x][y]][z] == a[x][a[y][z]] for x, y, z in triples)),
+        ("multiplication is not associative",
+         lambda: all(m[m[x][y]][z] == m[x][m[y][z]] for x, y, z in triples)),
+        ("multiplication does not distribute",
+         lambda: all(m[x][a[y][z]] == a[m[x][y]][m[x][z]] for x, y, z in triples)),
+    ]
+    return next((message for message, holds in laws if not holds()), None)
+
+
+def _left_nested_sums(ring, gens):
+    """Reference: every ((0 + s) + t) + ... with s, t, ... in ``gens``."""
+    reached, frontier = {ring.zero}, {ring.zero}
+    while frontier:
+        frontier = {ring.add(x, s) for x in frontier for s in gens} - reached
+        reached |= frontier
+    return reached
+
+
+def _greedy_generators(ring):
+    """Reference: add the least element not yet a left-nested sum (zero
+    must be an additive identity, or this need not end)."""
+    gens = []
+    while len(reached := _left_nested_sums(ring, gens)) < ring.size:
+        gens.append(min(set(ring.elements()) - reached))
+    return gens
+
+
+# Generator sets of 1, 2 and 3 elements.  1 is S[0] of every chain and
+# Z_m, and (xy)1 = x(y1) holds in any table with 1 as identity, so only
+# the other generators can report a broken multiplicative associativity.
+_LIGHT_CASES = [("zm", 8), ("zm", 12), ("chain", 2, 3), ("chain", 3, 2),
+                ("product", ("zm", 4), ("zm", 3))]
+_TAMPERS = 40
+_TRIPLE_LAWS = ("addition is not associative", "multiplication is not associative",
+                "multiplication does not distribute")
+
+
+@pytest.mark.parametrize("name", ["add_table", "mul_table"])
+@pytest.mark.parametrize("case", _LIGHT_CASES, ids=lambda c: repr(c).replace(" ", ""))
+def test_light_test_raises_exactly_when_a_law_breaks(case, name):
+    ring = _build_ring(case)
+    assert _first_broken_law(ring) is None
+    rings._validate_ring(ring)
+    rng = random.Random(f"{case}{name}")
+    table = getattr(ring, name)
+    for _ in range(_TAMPERS):
+        x, y = rng.randrange(ring.size), rng.randrange(ring.size)
+        value = rng.choice([v for v in range(ring.size) if v != table[x, y]])
+        broken = _tampered(ring, name, {(x, y): value})
+        message = _first_broken_law(broken)
+        if message in _TRIPLE_LAWS:
+            # Light's test: a triple law that fails somewhere fails with z
+            # a generator.  The message names the first that fails there,
+            # which need not be the first that fails somewhere.
+            message = _first_broken_law(broken, _greedy_generators(broken))
+            assert message in _TRIPLE_LAWS
+        if message is None:
+            rings._validate_ring(broken)
+        else:
+            with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+                rings._validate_ring(broken)
+
+
+@pytest.mark.parametrize(
+    "case, count",
+    [(("zm", m), 1) for m in (2, 12, 256)]
+    + [(("chain", m, e), e) for m, e in ((2, 3), (3, 2), (2, 8), (4, 4))]
+    + [(("product", ("zm", 4), ("zm", 3)), 2), (("product", ("chain", 2, 2), ("zm", 6)), 3)],
+    ids=lambda c: repr(c).replace(" ", ""),
+)
+def test_additive_generators_reach_every_element(case, count):
+    ring = _build_ring(case)
+    gens = rings._additive_generators(ring)
+    assert gens == _greedy_generators(ring) and len(gens) == count
+    assert _left_nested_sums(ring, gens) == set(ring.elements())
+
+
+@pytest.mark.parametrize("name, message", [("add_table", "addition is not commutative"),
+                                           ("mul_table", "multiplication is not commutative")])
+@pytest.mark.parametrize("entry", [(1019, 769), (300, 10)], ids=["short-tile", "off-diagonal"])
+def test_commutativity_tiles_reach_every_entry(name, message, entry):
+    # Z_1020 has tiles of 256 rows, the last of 252: (1019, 769) lies in
+    # the short corner tile, (300, 10) below the diagonal tiles.
+    ring = make_zm(1020)
+    table = getattr(ring, name).copy()
+    table[entry] = (table[entry] + 1) % ring.size
+    with pytest.raises(ConsistencyError, match=message):
+        rings._validate_ring(dataclasses.replace(ring, **{name: table}))
 
 
 def test_sampled_triples_catch_one_broken_entry():
