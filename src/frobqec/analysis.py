@@ -3,17 +3,19 @@ ring invariants, form isometries, and the submodule census."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import (Ideal, RingSpec, Turn, _require_nil, digits, indices_of, lookup,
+from .rings import (Ideal, Turn, _require_nil, digits, indices_of, lookup,
                     nilpotency_index, nilradical)
 from .spaces import (
+    BLOCK,
     PhaseSpace,
     Submodule,
     Vector,
+    _check_vector,
     _first_nontrivial,
     _form,
     enumerate_submodules,
@@ -182,116 +184,116 @@ def invariants(space: PhaseSpace) -> InvariantReport:
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryGroup:
-    """All invertible k x k matrices preserving the single-site form."""
+    """The k x k matrices G with G^T B G = B for the site form B, in scan
+    order (ascending in sum g[i][j] |R|^(i k + j)), as read-only site
+    permutations: row g sends the index of v in R^k to that of G v."""
 
     space: PhaseSpace
-    matrices: tuple[Matrix, ...]
+    permutations: np.ndarray
+
+    @property
+    def matrices(self) -> tuple[Matrix, ...]:
+        columns = self.space.coords[self.permutations[:, _unit_indices(self.space)]]
+        return tuple(tuple(zip(*g)) for g in columns.tolist())
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.permutations)
 
     def __iter__(self):
         return iter(self.matrices)
 
 
 def isometry_group(space: PhaseSpace) -> IsometryGroup:
-    """Brute-force scan of all matrices over the ring.
-
-    Form preservation (G^T B G = B) over a perfect form already forces
-    injectivity, hence invertibility on a finite module; both are still
-    verified for the survivors, as is closure under products.
-    """
+    """Every isometry of the site form, column by column (Plesken and
+    Souvignier, J. Symbolic Comput. 24, 1997): (G^T B G)_ij = B(G e_i,
+    G e_j), so column j ranges over the v with B(v, v) = B_jj and
+    B(G e_i, v) = B_ij for i < j."""
     if space.n != 1:
         raise InvalidInputError("isometries are computed on a single-site space")
-    ring = space.ring
-    k = space.k
-    total = ring.size ** (k * k)
+    total = space.ring.size ** (space.k * space.k)
     if total > ISOMETRY_SCAN_BOUND:
         raise ResourceLimitError(f"isometry scan over {total} matrices is out of bounds")
-
-    kept: list[Matrix] = []
-    for code in range(total):
-        g = _matrix_from_index(ring, k, code)
-        if _preserves_form(ring, space.form, g):
-            kept.append(g)
-
-    _check_isometry_group(space, kept)
-    return IsometryGroup(space, tuple(kept))
+    return IsometryGroup(space, _check_isometry_group(space, _column_search(space)))
 
 
-def _matrix_from_index(ring: RingSpec, k: int, code: int) -> Matrix:
-    entries = []
-    for _ in range(k * k):
-        entries.append(code % ring.size)
-        code //= ring.size
-    return tuple(tuple(entries[i * k : (i + 1) * k]) for i in range(k))
+def _column_search(space: PhaseSpace) -> np.ndarray:
+    """Site indices of the columns of every isometry, a row per matrix,
+    in scan order; each partial matrix is filtered by one form call."""
+    form, site = np.array(space.form), space.coords
+    norms = _form(space, site, site)
+    found = np.zeros((1, 0), dtype=np.intp)
+    for j in range(space.k):
+        cand = np.flatnonzero(norms == form[j, j])
+        gram = _form(space, site[found][:, None, :, :], site[cand][None, :, None, :])
+        rows, picks = np.nonzero((gram == form[:j, j]).all(axis=2))
+        found = np.column_stack([found[rows], cand[picks]])
+    # Scan order: the row-major entries as digits, (0, 0) fastest.
+    return found[np.lexsort(site[found].transpose(0, 2, 1).reshape(len(found), -1).T)]
 
 
-def _mat_mul(ring: RingSpec, x: Matrix, y: Matrix) -> Matrix:
-    k = len(x)
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = ring.zero
-            for t in range(k):
-                acc = ring.add(acc, ring.mul(x[i][t], y[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _preserves_form(ring: RingSpec, form, g: Matrix) -> bool:
-    return _mat_mul(ring, _mat_mul(ring, tuple(zip(*g)), form), g) == tuple(
-        tuple(row) for row in form
-    )
-
-
-def _check_isometry_group(space: PhaseSpace, matrices: list[Matrix]) -> None:
-    ring = space.ring
-    k = space.k
-    members = set(matrices)
-    ident = identity_form(ring, k)
-    if ident not in members:
+def _check_isometry_group(space: PhaseSpace, columns: np.ndarray) -> np.ndarray:
+    """The read-only site permutations of these column indices, once
+    identity, injectivity (a kernel would contradict a perfect form),
+    inverses and closure hold; column j of G H is G at column j of H."""
+    size = space.size
+    member = np.zeros(size**space.k, dtype=bool)
+    member[indices_of(columns, size)] = True
+    ident = indices_of(_unit_indices(space), size)
+    if not member[ident]:
         raise ConsistencyError("isometry scan lost the identity")
-    site = [tuple(v) for v in digits(range(ring.size**k), ring.size, k).tolist()]
-    for g in matrices:
-        # Injectivity scan: a form-preserving map with a kernel vector
-        # would contradict perfectness, so any hit is a real failure.
-        images = {apply_matrix(ring, g, v) for v in site}
-        if len(images) != ring.size**k:
-            raise ConsistencyError(f"matrix {g} preserves the form but is singular")
-        if not any(_mat_mul(ring, g, h) == ident for h in matrices):
-            raise ConsistencyError(f"matrix {g} has no inverse among the isometries")
-        for h in matrices:
-            if _mat_mul(ring, g, h) not in members:
-                raise ConsistencyError("isometries failed to close under products")
+    permutations = np.empty((len(columns), size), np.min_scalar_type(size - 1))
+    parts = max(1, len(columns) * (len(columns) + size) * space.k // BLOCK)
+    for rows in np.array_split(np.arange(len(columns)), parts):
+        permutations[rows] = perms = _site_map(space, space.coords[columns[rows]])
+        if (np.sort(perms, axis=1) != np.arange(size)).any():
+            raise ConsistencyError("an isometry preserves the form but is singular")
+        products = indices_of(perms[:, columns], size)
+        if not (products == ident).any(axis=1).all():
+            raise ConsistencyError("an isometry has no inverse among the isometries")
+        if not member[products].all():
+            raise ConsistencyError("isometries failed to close under products")
+    permutations.setflags(write=False)
+    return permutations
 
 
-def apply_matrix(ring: RingSpec, g: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(g)
-    out = []
-    for i in range(k):
-        acc = ring.zero
-        for j in range(k):
-            acc = ring.add(acc, ring.mul(g[i][j], v[j]))
-        out.append(acc)
-    return tuple(out)
+def _unit_indices(space: PhaseSpace) -> np.ndarray:
+    return indices_of(identity_form(space.ring, space.k), space.ring.size)
+
+
+def _columns_of(space: PhaseSpace, g) -> np.ndarray:
+    """The columns of a k x k matrix over the ring, one per row."""
+    if len(g) != space.k:
+        raise InvalidInputError(f"matrix must have {space.k} rows")
+    for row in g:
+        _check_vector(space, tuple(row), space.k)
+    return np.array(g, dtype=np.int64).T
+
+
+def _site_map(space: PhaseSpace, columns: np.ndarray) -> np.ndarray:
+    """Site index of G v = sum_j v_j G e_j for each v in R^k; columns[..., j, :] is G e_j."""
+    ring, k = space.ring, space.k
+    site = digits(np.arange(ring.size**k), ring.size, k)
+    image = None
+    for j in range(k):
+        term = lookup(ring.mul_table, columns[..., None, j, :], site[:, j, None])
+        image = term if image is None else lookup(ring.add_table, image, term)
+    return indices_of(image, ring.size)
 
 
 def apply_matrix_blockwise(space: PhaseSpace, g: Matrix, v: Vector) -> Vector:
-    """Apply the single-site matrix to each k-block of an ambient vector
-    (or to each block of both halves of a doubled vector)."""
-    ring = space.ring
-    k = space.k
-    if len(v) % k:
+    """Apply a k x k matrix, isometry or not, to each k-block of an
+    ambient vector (or to each block of both halves of a doubled vector)."""
+    if len(v) % space.k:
         raise InvalidInputError("vector length is not a multiple of the site rank")
-    out: list[int] = []
-    for base in range(0, len(v), k):
-        out.extend(apply_matrix(ring, g, v[base : base + k]))
-    return tuple(out)
+    _check_vector(space, tuple(v), len(v))
+    return _blockwise(space, _site_map(space, _columns_of(space, g)), v)
+
+
+def _blockwise(space: PhaseSpace, image: np.ndarray, v: Vector) -> Vector:
+    m, k = space.ring.size, space.k
+    return tuple(digits(image[indices_of(np.reshape(v, (-1, k)), m)], m, k).ravel().tolist())
 
 
 def isometry_action(space: PhaseSpace, g: Matrix, target):
@@ -301,30 +303,25 @@ def isometry_action(space: PhaseSpace, g: Matrix, target):
     pairing is preserved, so images of closed sets are closed and all
     the derived verdicts transport unchanged.  An index array moves with
     one gather: each k-block of coordinates is one digit in base |R|^k,
-    sent to the index of its image.
+    sent through the matrix's site permutation.
     """
-    if not _preserves_form(space.ring, space.form, g):
+    columns = _columns_of(space, g)
+    if not np.array_equal(_form(replace(space, n=1), columns[:, None], columns), space.form):
         raise InvalidInputError("matrix does not preserve the form")
-    ring = space.ring
-    block = ring.size**space.k
-    site = digits(np.arange(block), ring.size, space.k)
-    image = np.full(site.shape, ring.zero, dtype=np.intp)
-    for i, j in np.ndindex(space.k, space.k):
-        image[:, i] = lookup(ring.add_table, image[:, i], ring.mul_table[g[i][j], site[:, j]])
-    image = indices_of(image, ring.size)
+    image = _site_map(space, columns)
 
     def move(indices, sites: int) -> np.ndarray:
-        return indices_of(image[digits(indices, block, sites)], block)
+        return indices_of(image[digits(indices, image.size, sites)], image.size)
 
     if isinstance(target, Submodule):
-        gens = [apply_matrix_blockwise(space, g, v) for v in target.generators]
+        gens = [_blockwise(space, image, v) for v in target.generators]
         sites = 2 * space.n if target.doubled else space.n
         return Submodule(space, gens, move(target.indices, sites),
                          doubled=target.doubled, r_closed=target.r_closed)
     if isinstance(target, StabiliserGroup):
         gens = [
-            WeylElement(e.turn, apply_matrix_blockwise(space, g, e.shift),
-                        apply_matrix_blockwise(space, g, e.phase))
+            WeylElement(e.turn, _blockwise(space, image, e.shift),
+                        _blockwise(space, image, e.phase))
             for e in target.generators
         ]
         return StabiliserGroup(space, gens, move(target.labels, 2 * space.n), target.turns,

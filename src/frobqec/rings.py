@@ -348,10 +348,12 @@ def _validate_ring(spec: RingSpec) -> None:
     eps = spec.eps_num % spec.eps_den
     if not np.array_equal(eps, spec.eps_num):
         raise ConsistencyError("character numerators are not reduced mod the denominator")
+    # eps(x+y) - eps(x) - eps(y) is in (-2 den, den): 0 mod den iff 0 or -den.
+    narrow = eps.astype(np.min_scalar_type(-2 * spec.eps_den))
     rows = max(1, _CHECK_BLOCK // n)
     for start in range(0, n, rows):
-        block = eps[a[start : start + rows]] - eps[start : start + rows, None] - eps
-        if (block % spec.eps_den).any():
+        block = narrow[a[start : start + rows]] - narrow[start : start + rows, None] - narrow
+        if ((block != 0) & (block != -spec.eps_den)).any():
             raise ConsistencyError("character is not additive")
     if not verify_generating_character(spec):
         raise ConsistencyError("character is not generating")

@@ -7,6 +7,20 @@ def std_space(ring, k, n):
     return make_space(ring, k, n, identity_form(ring, k))
 
 
+def apply_by_hand(space, g, v):
+    """Reference for ``analysis.apply_matrix_blockwise``: the k x k matrix
+    g applied to each k-block of v, one ring operation at a time."""
+    ring, k = space.ring, space.k
+    out = []
+    for base in range(0, len(v), k):
+        for i in range(k):
+            acc = ring.zero
+            for j in range(k):
+                acc = ring.add(acc, ring.mul(g[i][j], v[base + j]))
+            out.append(acc)
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def z2():
     return make_zm(2)

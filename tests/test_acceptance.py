@@ -47,10 +47,9 @@ from frobqec import (
     submodule_span,
     weyl_mul,
 )
-from frobqec.analysis import apply_matrix_blockwise
 from frobqec.spaces import form_many
 
-from conftest import std_space
+from conftest import apply_by_hand, std_space
 
 SEED = 20260822
 
@@ -93,13 +92,13 @@ def _index_closure(seed, add_idx, scal_idx):
     work = list(items)
     while work:
         x = work.pop()
-        for y in scal_idx[:, x]:
-            y = int(y)
+        for y in scal_idx[:, x].tolist():
             if y not in items:
                 items.add(y)
                 work.append(y)
+        sums = add_idx[x].tolist()
         for y in list(items):
-            s = int(add_idx[x, y])
+            s = sums[y]
             if s not in items:
                 items.add(s)
                 work.append(s)
@@ -428,7 +427,7 @@ def test_criterion_09_isometry_action(z4, f2u):
             for g in group:
                 perm = np.empty(coords.shape[0], dtype=np.int64)
                 for i in range(coords.shape[0]):
-                    image = apply_matrix_blockwise(space, g, tuple(int(c) for c in coords[i]))
+                    image = apply_by_hand(space, g, tuple(int(c) for c in coords[i]))
                     perm[i] = int(np.dot(np.asarray(image, dtype=np.int64), powers))
                 if not np.array_equal(omega_nums[perm][:, perm], omega_nums):
                     ok = False

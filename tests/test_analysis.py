@@ -6,11 +6,15 @@ sweeps, pairing-preservation scans) before the frozen numbers are
 asserted.
 """
 
+import random
+import tracemalloc
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from frobqec import (
+    ConsistencyError,
     InvalidInputError,
     ResourceLimitError,
     Turn,
@@ -21,6 +25,7 @@ from frobqec import (
     form_eval,
     group_closure,
     ideal_span,
+    identity_form,
     invariants,
     is_isotropic,
     is_self_orthogonal,
@@ -31,6 +36,7 @@ from frobqec import (
     label_module_of,
     make_chain_ring,
     make_product,
+    make_space,
     make_zm,
     nilpotent_code,
     nilradical,
@@ -48,7 +54,7 @@ from frobqec import (
 from frobqec import analysis, cli, spaces, weyl
 from frobqec.analysis import _protection_scans, apply_matrix_blockwise
 
-from conftest import std_space
+from conftest import apply_by_hand, std_space
 
 U = 2
 T0 = Turn()
@@ -257,7 +263,7 @@ def _isometries_by_hand(space):
     kept = []
     for entries in iproduct(range(ring.size), repeat=k * k):
         g = tuple(tuple(entries[i * k : (i + 1) * k]) for i in range(k))
-        images = {v: apply_matrix_blockwise(space, g, v) for v in site}
+        images = {v: apply_by_hand(space, g, v) for v in site}
         if len(set(images.values())) != len(site):
             continue
         if all(
@@ -323,14 +329,8 @@ def test_isometry_action_preserves_omega(z4_line):
     for g in isometry_group(z4_line):
         for p in labels:
             for q in labels:
-                moved_p = (
-                    apply_matrix_blockwise(z4_line, g, p[0]),
-                    apply_matrix_blockwise(z4_line, g, p[1]),
-                )
-                moved_q = (
-                    apply_matrix_blockwise(z4_line, g, q[0]),
-                    apply_matrix_blockwise(z4_line, g, q[1]),
-                )
+                moved_p = (apply_by_hand(z4_line, g, p[0]), apply_by_hand(z4_line, g, p[1]))
+                moved_q = (apply_by_hand(z4_line, g, q[0]), apply_by_hand(z4_line, g, q[1]))
                 assert omega(z4_line, moved_p, moved_q) == omega(z4_line, p, q)
 
 
@@ -340,6 +340,105 @@ def test_isometry_action_rejects_non_isometry(z4_line):
         isometry_action(z4_line, ((2,),), code)
     with pytest.raises(InvalidInputError):
         isometry_action(z4_line, ((1,),), "not a module")
+
+
+def test_malformed_matrices_and_vectors_are_refused(z4_line):
+    code = submodule_span(z4_line, [(2,)])
+    for g in (((5,),), ((-1,),), ((4,),), ((1, 0), (0, 1)), ((1,), (0,)), ((),), ((1.0,),),
+              (("1",),)):
+        with pytest.raises(InvalidInputError):
+            isometry_action(z4_line, g, code)
+        with pytest.raises(InvalidInputError):
+            apply_matrix_blockwise(z4_line, g, (1,))
+    for v in ((9,), (-1,), (4,), (1, 4), (1.0,)):
+        with pytest.raises(InvalidInputError):
+            apply_matrix_blockwise(z4_line, ((1,),), v)
+    assert apply_matrix_blockwise(z4_line, ((3,),), (1, 2)) == (3, 2)
+
+
+SEED = 20261018
+
+
+def _seeded_form_space(name):
+    """Spaces whose perfect form is not the identity: the hyperbolic
+    plane over Z_4, [[u, 1], [1, 0]] over chain(2, 2), and seeded
+    random forms over Z_6 and Z_2 x Z_3."""
+    if name == "z4-hyperbolic":
+        return make_space(make_zm(4), 2, 1, [[0, 1], [1, 0]])
+    if name == "f2u-u1":
+        return make_space(make_chain_ring(2, 2), 2, 1, [[U, 1], [1, 0]])
+    ring = make_zm(6) if name == "z6-random" else make_product(make_zm(2), make_zm(3))
+    rng = random.Random(SEED)
+    while True:
+        a, b, c = (rng.randrange(ring.size) for _ in range(3))
+        try:
+            space = make_space(ring, 2, 1, [[a, b], [b, c]])
+        except InvalidInputError:
+            continue
+        if space.form != identity_form(ring, 2):
+            return space
+
+
+def _scan_key(space, g):
+    m, k = space.ring.size, space.k
+    return sum(g[i][j] * m ** (i * k + j) for i in range(k) for j in range(k))
+
+
+@pytest.mark.parametrize("name", ["z4-hyperbolic", "f2u-u1", "z6-random", "z2xz3-random"])
+def test_column_search_matches_brute_force_in_scan_order(name):
+    space = _seeded_form_space(name)
+    oracle = sorted(_isometries_by_hand(space), key=lambda g: _scan_key(space, g))
+    group = isometry_group(space)
+    assert group.matrices == tuple(oracle)
+    assert not group.permutations.flags.writeable
+    site = list(space.vectors())
+    for g, perm in zip(oracle, group.permutations.tolist()):
+        assert perm == [space.vector_index(apply_by_hand(space, g, v)) for v in site]
+    # The blockwise action takes any matrix, on plain and doubled vectors.
+    rng = random.Random(SEED)
+    m, k = space.ring.size, space.k
+    tried = 0
+    while tried < 20:
+        g = tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k))
+        if g in oracle:
+            continue
+        tried += 1
+        for width in (k, 2 * k):
+            v = tuple(rng.randrange(m) for _ in range(width))
+            assert apply_matrix_blockwise(space, g, v) == apply_by_hand(space, g, v)
+
+
+def test_isometry_check_catches_a_tampered_search(f2u_plane, monkeypatch):
+    columns = analysis._column_search(f2u_plane)
+    assert len(columns) == 16
+    identity = columns.tolist().index(analysis._unit_indices(f2u_plane).tolist())
+    singular = np.vstack([[[1, 1]], columns])  # both columns e_0, in the first block
+    tampered = [np.delete(columns, i, axis=0) for i in range(len(columns))] + [singular]
+    for i, rows in enumerate(tampered):
+        monkeypatch.setattr(analysis, "_column_search", lambda space, rows=rows: rows)
+        match = {identity: "lost the identity", len(columns): "singular"}.get(i)
+        with pytest.raises(ConsistencyError, match=match):
+            isometry_group(f2u_plane)
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_isometry_blocks_leave_the_group_unchanged(f2u_plane, monkeypatch, block):
+    # BLOCK = 1 asks for more parts than rows, so some parts are empty.
+    whole = isometry_group(f2u_plane).permutations
+    monkeypatch.setattr(analysis, "BLOCK", block)
+    assert np.array_equal(isometry_group(f2u_plane).permutations, whole)
+
+
+def test_isometry_scan_at_the_bound_stays_small():
+    space = std_space(make_zm(32), 2, 1)  # 32^4 = 2^20 matrices, the scan bound
+    tracemalloc.start()
+    try:
+        group = isometry_group(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(group) == 256
+    assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +536,12 @@ def test_module_sweeps_match_reference_loops(request, ring_name, k, n):
     isometries = isometry_group(space).matrices if n == 1 else ()
     for g in isometries:
         for module in plain:
-            moved = {apply_matrix_blockwise(space, g, v) for v in module.elements}
+            moved = {apply_by_hand(space, g, v) for v in module.elements}
             assert isometry_action(space, g, module).elements == tuple(sorted(moved))
 
     for l in enumerate_submodules(space, doubled=True):
         if isometries:
-            moved = {apply_matrix_blockwise(space, isometries[-1], v) for v in l.elements}
+            moved = {apply_by_hand(space, isometries[-1], v) for v in l.elements}
             assert isometry_action(space, isometries[-1], l).elements == tuple(sorted(moved))
         if not is_isotropic(space, l):
             continue
