@@ -204,6 +204,12 @@ class IsometryGroup:
     def __iter__(self):
         return iter(self.matrices)
 
+    def orbit(self, target):
+        """The images of a submodule or stabiliser group under each
+        isometry, in scan order, lazily, one gather through the stored
+        permutation each."""
+        return (_transport(self.space, image, target) for image in self.permutations)
+
 
 def isometry_group(space: PhaseSpace) -> IsometryGroup:
     """Every isometry of the site form, column by column (Plesken and
@@ -308,8 +314,12 @@ def isometry_action(space: PhaseSpace, g: Matrix, target):
     columns = _columns_of(space, g)
     if not np.array_equal(_form(replace(space, n=1), columns[:, None], columns), space.form):
         raise InvalidInputError("matrix does not preserve the form")
-    image = _site_map(space, columns)
+    return _transport(space, _site_map(space, columns), target)
 
+
+def _transport(space: PhaseSpace, image: np.ndarray, target):
+    """``target`` moved along the isometry whose site permutation is
+    ``image`` (a row of ``IsometryGroup.permutations``)."""
     def move(indices, sites: int) -> np.ndarray:
         return indices_of(image[digits(indices, image.size, sites)], image.size)
 

@@ -23,7 +23,6 @@ from .analysis import (
     check_nilpotent_protection,
     css_verdict,
     invariants,
-    isometry_action,
     isometry_group,
     submodule_census,
 )
@@ -482,8 +481,7 @@ def cmd_isometries(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
         code = scenario.require_code()
         base = is_self_orthogonal(space, code)
         preserved = True
-        for g in group:
-            image = isometry_action(space, g, code)
+        for image in group.orbit(code):
             if len(image) != len(code) or is_self_orthogonal(space, image) != base:
                 preserved = False
                 break

@@ -412,14 +412,37 @@ def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:
 def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
                          max_elems: int | None = None) -> list[Submodule]:
     """Every scalar-closed submodule with at most ``max_elems`` vectors,
-    breadth-first from M to M + Rx over the distinct cyclic submodules;
-    |M + Rx| = |M| |R| / #{r : r*x in M} refuses a candidate over the
-    cap before it is built.  The ambient must stay at desk scale.
-    Modules come out by size, then by their ``elements`` tuples.
+    each built once by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  The ambient must
+    stay at desk scale.  Modules come out by size, then by their
+    ``elements`` tuples.
+
+    The canonical generators of a module N are its greedy sequence
+    g_1 < ... < g_t, where g_i is the least index of N outside
+    span(g_1 .. g_(i-1)).  That least element is the least of its
+    unit orbit, since the orbit of a vector outside a submodule stays
+    outside.  So N comes once from its canonical parent
+    M = span(g_1 .. g_(t-1)): M, with last generator g, accepts M + Rx
+    only when x is an orbit representative past g outside M and the
+    least element of M + Rx outside M.  The rule asks nothing of the
+    ring, so Z_m, chain rings, Z_4[u]/(u^2) and products need no
+    per-family canonical form, and the x accepted on the way to a
+    module form its greedy sequence, recorded as its ``generators``.
+
+    Per parent, one gather reads which multiples r*x of each candidate
+    lie in M.  That column is the ideal I_x = {r : r*x in M}, so
+    |M + Rx| = |M| |R| / |I_x| refuses a candidate over the cap before it
+    is built, and M + Rx is the disjoint union of the M + r*x over the
+    least elements r of the cosets of I_x.  Candidates that share an ideal
+    are built together, in increasing order and blocks of about BLOCK
+    entries.  After each block, a later candidate y inside a built M + Rx
+    of size |M + Ry| is dropped: then M + Ry = M + Rx, whose least new
+    element is at most x < y, so y is not canonical.
     """
     ring = space.ring
+    m = ring.size
     width = _width(space, doubled)
-    ambient_size = ring.size**width
+    ambient_size = m**width
     if ambient_size > (1 << 16):
         raise ResourceLimitError(
             f"submodule enumeration over {ambient_size} ambient vectors is out of bounds"
@@ -429,34 +452,74 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
 
     # Rx = Ry iff y = u*x for a unit u (units of R / ann(x) lift to a
     # finite ring), so the least index of each unit orbit names Rx once.
-    coords = digits(np.arange(ambient_size), ring.size, width)
+    coords = digits(np.arange(ambient_size), m, width)
     least = np.arange(ambient_size)
     for u in np.flatnonzero((ring.mul_table == ring.one).any(axis=1)):
-        np.minimum(least, indices_of(ring.mul_table[u][coords], ring.size), out=least)
+        np.minimum(least, indices_of(ring.mul_table[u][coords], m), out=least)
     reps = np.flatnonzero(least == np.arange(ambient_size))
-    multiples = indices_of(ring.mul_table[:, coords[reps]], ring.size)
+    multiples = indices_of(ring.mul_table[:, coords[reps]], m)
 
-    trivial, _ = index_span(ring, width, [])
-    found = {trivial.tobytes()}
-    queue = [(trivial, ())]
+    # Vectors add by index through the add table of R^d, d coordinates at
+    # a time, for the largest d dividing the width with |R|^d <= 256.
+    d = max(c for c in range(1, width + 1) if width % c == 0 and (c == 1 or m**c <= 256))
+    piece = m**d
+    site = digits(np.arange(piece), m, d)
+    add = ring.add_table if d == 1 else sum(
+        ring.add_table[np.ix_(site[:, i], site[:, i])] * m**i for i in range(d))
+    scales = piece ** np.arange(width // d)
+
+    transversals: dict[bytes, np.ndarray] = {}
+    # Each entry: a module's index array and its generators as columns of reps.
+    queue = [(indices_of([ring.zero] * width, m).reshape(1), ())]
     for group, gens in queue:
+        first = gens[-1] + 1 if gens else 0
         inside = np.zeros(ambient_size, dtype=bool)
         inside[group] = True
-        hits = inside[multiples].sum(axis=0)
-        sizes = group.size * ring.size // hits
-        todo = np.flatnonzero((hits < ring.size) & (sizes <= max_elems))
-        while todo.size:
-            bigger, _ = index_span(ring, width, multiples[:, todo[0]], start=group)
-            if bigger.tobytes() not in found:
-                found.add(bigger.tobytes())
-                queue.append((bigger, gens + (int(reps[todo[0]]),)))
-            # M + Ry lies in M + Rx when y does, and equals it at equal size.
-            todo = todo[~(np.isin(reps[todo], bigger) & (sizes[todo] == bigger.size))]
+        hit = inside[multiples[:, first:]]
+        hits = hit.sum(axis=0)
+        sizes = group.size * m // hits
+        keep = (hits < m) & (sizes <= max_elems)
+        todo, sizes, hit = first + np.flatnonzero(keep), sizes[keep], hit[:, keep]
+        if not todo.size:
+            continue
+        keys = np.packbits(hit.T, axis=1)
+        ideal_ids, ideal_of = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                        return_inverse=True)
+        rest = np.arange(todo.size)
+        while rest.size:
+            take = max(1, int(np.cumsum(sizes[rest]).searchsorted(BLOCK, side="right")))
+            block, rest = rest[:take], rest[take:]
+            for ideal in range(ideal_ids.size):
+                cols = block[ideal_of[block] == ideal]
+                if not cols.size:
+                    continue
+                key = ideal_ids[ideal].tobytes()
+                if key not in transversals:
+                    # The least element of each coset r + I_x, the coset I_x first.
+                    members = hit[:, cols[0]]
+                    firsts = np.flatnonzero(ring.add_table[:, members].min(axis=1) == np.arange(m))
+                    transversals[key] = firsts[np.argsort(~members[firsts], kind="stable")]
+                steps = multiples[transversals[key]][:, todo[cols]]
+                sums = lookup(add, group[:, None, None] % piece, steps % piece)
+                for scale in scales[1:]:
+                    sums = sums + scale * lookup(add, group[:, None, None] // scale % piece,
+                                                 steps // scale % piece)
+                # Past the coset I_x itself, sums[:, 1:] holds (M + Rx) minus M.
+                canonical = sums[:, 1:].min(axis=(0, 1)) == reps[todo[cols]]
+                children = sums.reshape(-1, cols.size)
+                for row, col in zip(np.sort(children[:, canonical].T, axis=1),
+                                    todo[cols[canonical]].tolist()):
+                    queue.append((row, gens + (col,)))
+                if rest.size:
+                    built = np.zeros(ambient_size, dtype=bool)
+                    built[children] = True
+                    rest = rest[~(built[reps[todo[rest]]] & (sizes[rest] == len(children)))]
+
     modules = [
-        Submodule(space, map(tuple, coords[list(gens)].tolist()), group,
+        Submodule(space, map(tuple, coords[reps[list(gens)]].tolist()), group,
                   doubled=doubled, r_closed=True)
         for group, gens in queue
     ]
     # Indices with coordinate 0 as the slowest digit sort like the tuples.
-    tuple_rank = indices_of(coords[:, ::-1], ring.size)
+    tuple_rank = indices_of(coords[:, ::-1], m)
     return sorted(modules, key=lambda s: (len(s), np.sort(tuple_rank[s.indices]).tolist()))

@@ -236,6 +236,28 @@ def test_isometries_command(tmp_path, capsys):
     assert "isometries of the site form: 2" in out
 
 
+def test_isometries_refuse_a_tampered_code_image(tmp_path, capsys, monkeypatch):
+    doc = {"ring": {"family": "zm", "m": 4}, "space": {"k": 1, "n": 1},
+           "code": {"generators": [[2]]}}
+    path = _write(tmp_path, doc)
+    code, out, _ = _run(capsys, "isometries", "--scenario", path, "--json")
+    assert (code, json.loads(out)["code_orbit_preserved"]) == (0, True)
+
+    # Every image is now the whole line, twice the code's size; the scan
+    # stops at the first of the two isometries.
+    calls = []
+
+    def tampered(space, image, target):
+        calls.append(image)
+        return frobqec.submodule_span(space, [(1,)])
+
+    monkeypatch.setattr(frobqec.analysis, "_transport", tampered)
+    code, out, _ = _run(capsys, "isometries", "--scenario", path, "--json")
+    report = json.loads(out)
+    assert (code, report["count"], report["code_orbit_preserved"]) == (1, 2, False)
+    assert len(calls) == 1
+
+
 def test_examples_command(capsys):
     code, out, _ = _run(capsys, "examples")
     assert code == 0

@@ -6,6 +6,7 @@ with a generator while a scalar multiple of that generator still sees
 it.  Several tests pin that behaviour against brute-force sweeps.
 """
 
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -23,6 +24,8 @@ from frobqec import (
     identity_form,
     is_isotropic,
     is_self_orthogonal,
+    make_chain_ring,
+    make_product,
     make_space,
     make_zm,
     orthogonal,
@@ -30,6 +33,7 @@ from frobqec import (
     phase_pairing,
     submodule_span,
 )
+from frobqec import spaces
 from frobqec.spaces import AMBIENT_BOUND, ENV_AMBIENT_BOUND, form_many
 
 from conftest import std_space
@@ -280,20 +284,26 @@ def test_self_orthogonal_matches_containment(z4_pair):
         assert is_self_orthogonal(z4_pair, code) == set(code.elements).issubset(perp_set)
 
 
-def _submodules_by_hand(space):
+def _submodules_by_hand(space, doubled=False):
     """Oracle: spans of all generator pairs; two generators suffice for
     every submodule at these sizes."""
     seen = set()
-    vectors = list(space.vectors())
+    width = 2 * space.rank if doubled else space.rank
+    vectors = list(iproduct(range(space.ring.size), repeat=width))
     for v, w in iproduct(vectors, vectors):
-        seen.add(submodule_span(space, [v, w]).elements)
+        seen.add(submodule_span(space, [v, w], doubled=doubled).elements)
     return seen
+
+
+def _by_size(element_lists):
+    """Element tuples in the enumeration's order: by size, then by value."""
+    return sorted(element_lists, key=lambda elements: (len(elements), elements))
 
 
 def test_enumerate_submodules_matches_pair_spans(z2_line, z4_line, f2u_line):
     for space in (z2_line, z4_line, f2u_line):
-        found = {m.elements for m in enumerate_submodules(space)}
-        assert found == _submodules_by_hand(space)
+        found = [m.elements for m in enumerate_submodules(space)]
+        assert found == _by_size(_submodules_by_hand(space))
 
 
 def test_enumerate_submodule_counts(z2_line, z4_line, f2u_line):
@@ -324,3 +334,105 @@ def test_enumerate_bound(z4):
     space = std_space(z4, 1, 5)
     with pytest.raises(ResourceLimitError):
         enumerate_submodules(space, doubled=True)
+
+
+# ---------------------------------------------------------------------------
+# canonical augmentation
+
+SEED = 20261018
+
+
+def _seeded_plane(ring, rng):
+    """A perfect symmetric 2 x 2 form, drawn with the seed, that is not
+    the identity."""
+    while True:
+        a, b, c = (int(x) for x in rng.integers(0, ring.size, 3))
+        form = ((a, b), (b, c))
+        if form == identity_form(ring, 2):
+            continue
+        try:
+            return make_space(ring, 2, 1, form)
+        except InvalidInputError:
+            continue
+
+
+def _canonical_spaces():
+    """A local ring that is not a chain ring (Z_4[u]/(u^2)), a product
+    ring, and a seeded non-identity form with k = 2."""
+    rng = np.random.default_rng(SEED)
+    local = make_chain_ring(4, 2)
+    product = make_product(make_zm(2), make_zm(3))
+    return [("chain42", std_space(local, 1, 1)), ("z2xz3", std_space(product, 1, 1)),
+            ("z4-plane", _seeded_plane(make_zm(4), rng))]
+
+
+CANONICAL_CASES = [
+    pytest.param(space, doubled, id=f"{name}-{'doubled' if doubled else 'plain'}")
+    for name, space in _canonical_spaces()
+    for doubled in (False, True)
+]
+
+
+@pytest.mark.parametrize("space, doubled", CANONICAL_CASES)
+def test_generators_are_the_greedy_sequence(space, doubled):
+    modules = enumerate_submodules(space, doubled=doubled)
+    listed = {module.indices.tobytes() for module in modules}
+    assert len(listed) == len(modules)
+    for module in modules:
+        gens = module.generators
+        indices = [space.vector_index(g) for g in gens]
+        assert all(a < b for a, b in zip(indices, indices[1:]))
+        prefixes = [submodule_span(space, gens[:i], doubled=doubled)
+                    for i in range(len(gens) + 1)]
+        assert prefixes[-1] == module
+        for g, before, after in zip(indices, prefixes, prefixes[1:]):
+            assert g == np.setdiff1d(after.indices, before.indices).min()
+        if gens:
+            assert prefixes[-2].indices.tobytes() in listed
+
+
+@pytest.mark.parametrize("space, doubled", CANONICAL_CASES)
+def test_enumeration_matches_the_oracles(space, doubled):
+    modules = enumerate_submodules(space, doubled=doubled)
+    if space.size ** (2 if doubled else 1) <= 36:
+        assert [module.elements for module in modules] == _by_size(
+            _submodules_by_hand(space, doubled))
+    else:
+        isotropic = [module.elements for module in modules if is_isotropic(space, module)]
+        assert isotropic == _by_size(l.elements for l in _isotropic_label_modules(space))
+
+
+@pytest.mark.parametrize("space, doubled", CANONICAL_CASES)
+def test_pruning_after_every_candidate_changes_nothing(space, doubled, monkeypatch):
+    # BLOCK = 1 builds one candidate per block and prunes after each.
+    whole = enumerate_submodules(space, doubled=doubled)
+    monkeypatch.setattr(spaces, "BLOCK", 1)
+    single = enumerate_submodules(space, doubled=doubled)
+    assert [m.indices.tolist() for m in single] == [m.indices.tolist() for m in whole]
+    assert [m.generators for m in single] == [m.generators for m in whole]
+
+
+def test_census_anchor_builds_at_most_two_spans_per_module(z4, monkeypatch):
+    calls = []
+    original = spaces.index_span
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "index_span", counting)
+    modules = enumerate_submodules(std_space(z4, 1, 2), doubled=True, max_elems=8)
+    assert len(modules) == 606
+    assert len(calls) <= 2 * len(modules)
+
+
+def test_enumeration_memory_stays_small():
+    space = std_space(make_zm(16), 1, 1)
+    tracemalloc.start()
+    try:
+        modules = enumerate_submodules(space, doubled=True, max_elems=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(modules) == 83
+    assert peak < 16 << 20
