@@ -241,25 +241,49 @@ def _column_search(space: PhaseSpace) -> np.ndarray:
 
 def _check_isometry_group(space: PhaseSpace, columns: np.ndarray) -> np.ndarray:
     """The read-only site permutations of these column indices, once
-    identity, injectivity (a kernel would contradict a perfect form),
-    inverses and closure hold; column j of G H is G at column j of H."""
+    identity, injectivity (a kernel would contradict a perfect form) and
+    closure hold; column j of G H is G at column j of H.
+
+    The least isometry not yet reached joins a set S, and the reached
+    set grows from the identity by right products with S, each of which
+    must be an isometry.  A finite set of permutations that holds the
+    identity and is closed under products with S is the group S
+    generates, so once all are reached they form a group, inverses
+    included.  Each member of S at least doubles the group reached, so
+    |S| <= log2 |G| and the products number at most 2 |S| |G|.  Only the
+    members of S get a site map and an injectivity check; each other
+    permutation composes the factors of its first product.
+    """
     size = space.size
-    member = np.zeros(size**space.k, dtype=bool)
-    member[indices_of(columns, size)] = True
-    ident = indices_of(_unit_indices(space), size)
-    if not member[ident]:
+    row_of = np.full(size**space.k, -1)
+    row_of[indices_of(columns, size)] = np.arange(len(columns))
+    ident = row_of[indices_of(_unit_indices(space), size)]
+    if ident < 0:
         raise ConsistencyError("isometry scan lost the identity")
     permutations = np.empty((len(columns), size), np.min_scalar_type(size - 1))
-    parts = max(1, len(columns) * (len(columns) + size) * space.k // BLOCK)
-    for rows in np.array_split(np.arange(len(columns)), parts):
-        permutations[rows] = perms = _site_map(space, space.coords[columns[rows]])
-        if (np.sort(perms, axis=1) != np.arange(size)).any():
+    permutations[ident] = np.arange(size)
+    reached = np.zeros(len(columns), dtype=bool)
+    reached[ident] = True
+    gens = np.zeros(0, dtype=np.intp)
+    while not reached.all():
+        gens = np.append(gens, np.argmin(reached))
+        permutations[gens[-1]] = _site_map(space, space.coords[columns[gens[-1]]])
+        if (np.sort(permutations[gens[-1]]) != np.arange(size)).any():
             raise ConsistencyError("an isometry preserves the form but is singular")
-        products = indices_of(perms[:, columns], size)
-        if not (products == ident).any(axis=1).all():
-            raise ConsistencyError("an isometry has no inverse among the isometries")
-        if not member[products].all():
-            raise ConsistencyError("isometries failed to close under products")
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            products = row_of[indices_of(permutations[frontier[:, None, None], columns[gens]],
+                                         size)]
+            if (products < 0).any():
+                raise ConsistencyError("isometries failed to close under products")
+            new, first = np.unique(products, return_index=True)
+            new, first = new[~reached[new]], first[~reached[new]]
+            left, right = frontier[first // gens.size], gens[first % gens.size]
+            for rows in np.array_split(np.arange(new.size), max(1, new.size * size // BLOCK)):
+                permutations[new[rows]] = np.take_along_axis(
+                    permutations[left[rows]], permutations[right[rows]], axis=1)
+            reached[new] = True
+            frontier = new
     permutations.setflags(write=False)
     return permutations
 

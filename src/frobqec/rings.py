@@ -38,10 +38,10 @@ TABLE_DTYPE = np.min_scalar_type(MAX_RING_SIZE - 1)
 EXHAUSTIVE_TRIPLE_LIMIT = 256
 _TRIPLE_SAMPLES = 1000
 _TRIPLE_SEED = 20260822
-# The character's additivity check runs on blocks of at most this many
-# table entries, and the commutativity checks on square tiles of this
-# many, so no check needs an |R|^2 int64 temporary or reads a whole
-# table in transposed order.
+# The chain-ring product fill and the character's additivity check run
+# on blocks of at most this many table entries, and the commutativity
+# checks on square tiles of this many, so no build or check needs an
+# |R|^2 intp temporary or reads a whole table in transposed order.
 _CHECK_BLOCK = 1 << 16
 
 
@@ -242,16 +242,33 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     # With y = y0 + m*y' as indices, x*y = y0*x + u*(x*y'), and u* shifts
     # the digits up, dropping the top one: z -> z*m mod |R|.  Columns
     # below m are digit-wise multiples; columns [m*lo, m*hi) then come in
-    # one gather from ``add`` per digit, out of the columns [lo, hi).
+    # one gather from ``add`` per digit, out of the columns [lo, hi), up
+    # to column low = m^h, h = ceil(e/2).
+    low, high = m ** ((e + 1) // 2), m ** (e // 2)
     mul = np.empty((size, size), dtype=TABLE_DTYPE)
     mul[:, :m] = indices_of(coeffs[:, None, :] * np.arange(m)[:, None] % m, m)
     shift = (np.arange(size) * m % size).astype(TABLE_DTYPE)
     lo = 1
-    while lo * m < size:
+    while lo * m < low:
         hi = lo * m
-        cols = add[mul[:, None, :m], shift[mul[:, lo:hi, None]]]
+        cols = lookup(add, mul[:, None, :m], shift[mul[:, lo:hi, None]])
         mul[:, hi : hi * m] = cols.reshape(size, -1)
         lo = hi
+
+    # The rest by a half-digit split y = y_lo + m^h y_hi, y_lo < m^h and
+    # y_hi < high = m^(e-h): x*y = x*y_lo + u^h (x*y_hi), and u^h* shifts
+    # the digits up by h, clearing the low h.  So with P = x*y_lo and
+    # Q = x*y_hi from the first m^h columns, and no carry between digits,
+    #   x*y = (P mod m^h) + m^h add[P div m^h, Q mod m^(e-h)],
+    # read from the m^(e-h) corner of ``add``, which stays in cache; the
+    # rows go in blocks, so the intp index stays small.
+    corner = (add[:high, :high] * low).ravel()
+    rows = max(1, _CHECK_BLOCK // size)
+    for start in range(0, size, rows):
+        p = mul[start : start + rows, :low].copy()
+        at = (p // low * high).astype(np.intp)[:, None, :] + p[:, :high, None] % high
+        np.add(corner[at], p[:, None, :] % low,
+               out=mul[start : start + rows].reshape(len(p), high, low))
 
     neg = indices_of((-coeffs) % m, m)
     spec = RingSpec(

@@ -24,6 +24,10 @@ from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 from .rings import RingSpec, Turn, _contains, digits, index_span, indices_of, lookup
 
 AMBIENT_BOUND = 1 << 20
+# The submodule walk keeps every module it builds; past this many it is
+# refused before its queue exhausts memory.  The censuses of the tests
+# and the benchmark build at most about 2000.
+MAX_SUBMODULES = 1 << 17
 # Entries per pairing block in the sweeps over modules.
 BLOCK = 1 << 16
 ENV_AMBIENT_BOUND = "FROBQEC_MAX_CARRIER"
@@ -361,28 +365,29 @@ def _check_vector(space: PhaseSpace, v: Vector, width: int | None = None) -> Non
 def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
     """All of H pairing trivially with the code.
 
-    The probe set must span the code over the ring, not just additively:
-    a vector can pair trivially with g yet not with r*g, so scalar
-    multiples of the generators are probed explicitly.  The complement
-    of an additive-only code is itself only additively closed.
+    For a scalar-closed code C = sum R g over its generators g, v is in
+    the complement iff form(v, g) = 0 for every generator.  The form is
+    bilinear over a commutative ring, so eps(form(v, r g)) = eps(r
+    form(v, g)), and that vanishes for every r iff form(v, g) = 0,
+    because the character is generating.  Turns alone would not do: a
+    vector can pair trivially with g yet not with r g.  An additive-only
+    code has no scalars to sweep, so v is tested by its turns against
+    every element, and its complement is itself only additively closed.
     """
     if code.doubled:
         raise InvalidInputError("orthogonal complements live in the plain space")
-    m = space.ring.size
-    if code.r_closed:
-        multiples = space.ring.mul_table[:, _generator_rows(code)]
-        probes = digits(np.unique(indices_of(multiples, m)), m, space.rank)
-    else:
-        probes = code.rows
-
-    den = space.ring.eps_den
-    eps = space.ring.eps_num
+    probes = _generator_rows(code) if code.r_closed else code.rows
+    ring = space.ring
     kept = []
     chunk = max(1, BLOCK // max(1, len(probes)))
     coords = space.coords
     for start in range(0, space.size, chunk):
-        nums = eps[form_many(space, coords[start : start + chunk], probes)] % den
-        kept.append(start + np.flatnonzero((nums == 0).all(axis=1)))
+        values = form_many(space, coords[start : start + chunk], probes)
+        if code.r_closed:
+            trivial = values == ring.zero
+        else:
+            trivial = ring.eps_num[values] % ring.eps_den == 0
+        kept.append(start + np.flatnonzero(trivial.all(axis=1)))
     return Submodule(space, (), np.concatenate(kept), doubled=False, r_closed=code.r_closed)
 
 
@@ -510,6 +515,9 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
                 for row, col in zip(np.sort(children[:, canonical].T, axis=1),
                                     todo[cols[canonical]].tolist()):
                     queue.append((row, gens + (col,)))
+                if len(queue) > MAX_SUBMODULES:
+                    raise ResourceLimitError(
+                        f"submodule enumeration walked more than {MAX_SUBMODULES} modules")
                 if rest.size:
                     built = np.zeros(ambient_size, dtype=bool)
                     built[children] = True

@@ -421,6 +421,47 @@ def test_isometry_check_catches_a_tampered_search(f2u_plane, monkeypatch):
             isometry_group(f2u_plane)
 
 
+def test_isometry_check_multiplies_new_members_by_every_generator(f2u, monkeypatch):
+    # Over chain(2,2) with the form [[u, 1], [1, 0]] (|G| = 16), the
+    # words c g2^j, c a power of the first generator g1, are 4 isometries
+    # that do not form a group.  A check that multiplied new members by
+    # the newest generator alone would accept them as the whole group.
+    space = make_space(f2u, 2, 1, ((U, 1), (1, 0)))
+    columns = analysis._column_search(space)
+    perms = isometry_group(space).permutations
+    row = {p.tobytes(): i for i, p in enumerate(perms)}
+    words = {row[np.arange(space.size, dtype=perms.dtype).tobytes()]}
+    for _ in range(2):
+        g = min(set(range(len(perms))) - words)  # the least not reached joins S
+        frontier = words
+        while frontier:
+            frontier = {row[perms[w][perms[g]].tobytes()] for w in frontier} - words
+            words |= frontier
+    assert len(words) == 4
+    monkeypatch.setattr(analysis, "_column_search", lambda space: columns[sorted(words)])
+    with pytest.raises(ConsistencyError, match="failed to close"):
+        isometry_group(space)
+
+
+def test_isometry_group_builds_few_site_maps(monkeypatch):
+    # chain(2,5), k = 2, hyperbolic form: |G| = 24 576, where a check of
+    # all |G|^2 products took 12-20 s on a 2-vCPU VM.  A site map is built
+    # only for each generator, and each of them at least doubles the
+    # group reached.
+    space = make_space(make_chain_ring(2, 5), 2, 1, ((0, 1), (1, 0)))
+    columns = analysis._column_search(space)
+    site_map, calls = analysis._site_map, []
+    monkeypatch.setattr(analysis, "_site_map",
+                        lambda space, cols: calls.append(cols) or site_map(space, cols))
+    group = isometry_group(space)
+    assert len(group) == len(columns) == 24_576
+    assert 2 ** len(calls) <= len(group)
+    assert np.array_equal(group.permutations[:, analysis._unit_indices(space)], columns)
+    for rows in np.array_split(np.arange(len(columns)), 64):
+        assert np.array_equal(group.permutations[rows],
+                              site_map(space, space.coords[columns[rows]]))
+
+
 @pytest.mark.parametrize("block", [1, 100])
 def test_isometry_blocks_leave_the_group_unchanged(f2u_plane, monkeypatch, block):
     # BLOCK = 1 asks for more parts than rows, so some parts are empty.

@@ -358,6 +358,13 @@ def _nested_products(depth):
             "ring", '{"ring": {"family": "zm", "m": ' + "7" * 5000 + "}}", 2,
             id="integer-too-long-to-parse",
         ),
+        # Every subspace of F_2^16 of dimension at most 4, about 9.2e14
+        # modules: the walk is refused before its queue exhausts memory.
+        pytest.param(
+            "census --max-elems 16",
+            json.dumps({"ring": {"family": "zm", "m": 2}, "space": {"k": 1, "n": 8}}), 3,
+            id="census-past-the-module-bound",
+        ),
     ],
 )
 def test_oversized_documents_end_in_a_documented_exit(tmp_path, command, text, expected):
@@ -365,7 +372,7 @@ def test_oversized_documents_end_in_a_documented_exit(tmp_path, command, text, e
     path.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(frobqec.__file__).resolve().parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-m", "frobqec.cli", command, "--scenario", str(path)],
+        [sys.executable, "-m", "frobqec.cli", *command.split(), "--scenario", str(path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == expected, proc.stderr

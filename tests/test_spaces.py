@@ -217,13 +217,25 @@ def _orthogonal_by_hand(space, code):
     return out
 
 
-def test_orthogonal_against_brute_force(z4_pair, f2u_line, f2u_plane):
+def test_orthogonal_against_brute_force(z4, f2u, z6, z4_pair, f2u_line, f2u_plane):
+    hyperbolic = make_space(z4, 2, 1, ((0, 1), (1, 0)))
+    skew = make_space(f2u, 2, 1, ((U, 1), (1, 0)))
+    chain42 = std_space(make_chain_ring(4, 2), 1, 1)  # index a + 4b is a + b u
     cases = [
         (z4_pair, [(2, 0), (0, 2)]),
         (z4_pair, [(1, 0)]),
         (f2u_line, [(U,)]),
         (f2u_plane, [(U, 0), (0, U)]),
         (f2u_plane, [(1, U)]),
+        (hyperbolic, [(2, 1)]),
+        (hyperbolic, [(1, 0), (0, 2)]),
+        (skew, [(1, 0)]),
+        (skew, [(U, 1)]),
+        (std_space(z6, 1, 1), [(3,)]),
+        (std_space(z6, 1, 2), [(3, 2)]),
+        (chain42, [(2,)]),
+        (chain42, [(4,)]),
+        (chain42, [(6,)]),
     ]
     for space, gens in cases:
         code = submodule_span(space, gens)
@@ -233,8 +245,9 @@ def test_orthogonal_against_brute_force(z4_pair, f2u_line, f2u_plane):
 
 def test_orthogonal_needs_scalar_probes(f2u_line):
     # v = 1 pairs trivially with the generator 1 but not with u * 1, so
-    # the complement of the full line is just zero.  A generator-only
-    # scan would wrongly keep v.
+    # the complement of the full line is just zero.  A scan of the
+    # generator's turns alone would wrongly keep v; the form value
+    # form(1, 1) = 1 is not zero, so the test on generators drops it.
     line = submodule_span(f2u_line, [(1,)])
     perp = orthogonal(f2u_line, line)
     assert perp.elements == ((0,),)
@@ -334,6 +347,15 @@ def test_enumerate_bound(z4):
     space = std_space(z4, 1, 5)
     with pytest.raises(ResourceLimitError):
         enumerate_submodules(space, doubled=True)
+
+
+def test_enumeration_refuses_more_modules_than_the_bound(z4, monkeypatch):
+    space = std_space(z4, 1, 2)
+    monkeypatch.setattr(spaces, "MAX_SUBMODULES", 606)
+    assert len(enumerate_submodules(space, doubled=True, max_elems=8)) == 606
+    monkeypatch.setattr(spaces, "MAX_SUBMODULES", 605)
+    with pytest.raises(ResourceLimitError, match="more than 605 modules"):
+        enumerate_submodules(space, doubled=True, max_elems=8)
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +458,32 @@ def test_enumeration_memory_stays_small():
         tracemalloc.stop()
     assert len(modules) == 83
     assert peak < 16 << 20
+
+
+# ---------------------------------------------------------------------------
+# orthogonal complements on every submodule
+
+def _orthogonal_spaces():
+    """Seeded non-identity k = 2 forms over Z_4, chain(2,2) and Z_2 x Z_3,
+    and the standard form over Z_6 (one and two sites) and chain(4,2)."""
+    rng = np.random.default_rng(SEED)
+    z6 = make_product(make_zm(2), make_zm(3))
+    return [("z4-plane", _seeded_plane(make_zm(4), rng)),
+            ("f2u-plane", _seeded_plane(make_chain_ring(2, 2), rng)),
+            ("z6-plane", _seeded_plane(z6, rng)),
+            ("z6-line", std_space(z6, 1, 1)), ("z6-pair", std_space(z6, 1, 2)),
+            ("chain42", std_space(make_chain_ring(4, 2), 1, 1))]
+
+
+@pytest.mark.parametrize("space", [pytest.param(space, id=name)
+                                   for name, space in _orthogonal_spaces()])
+def test_orthogonal_matches_the_turn_test_on_every_submodule(space):
+    # The library tests form values on generators; the reference tests
+    # turns against every element of the code.
+    for code in enumerate_submodules(space):
+        hand = sorted(space.vector_index(v) for v in _orthogonal_by_hand(space, code))
+        bare = Submodule(space, (), code.indices, doubled=False, r_closed=True)
+        for probe in (code, bare):
+            perp = orthogonal(space, probe)
+            assert perp.indices.tolist() == hand
+            assert perp.r_closed
