@@ -8,8 +8,10 @@ family notation (integers for zm, coefficient lists for chain rings,
 pairs for products).
 
 Exit codes: 0 for an affirmative verdict, 1 for a definite negative
-one, 2 for invalid input, 3 for a resource bound.  Reports are plain
-text by default and stable JSON under --json.
+one, 2 for invalid input, 3 for a resource bound, 4 when the numeric
+oracle cannot decide (a pivot in the rank routine's dead band), 5 for
+an internal consistency failure.  Reports are plain text by default and
+stable JSON under --json.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .analysis import (
     isometry_group,
     submodule_census,
 )
-from .errors import DiagnosticError, InvalidInputError, ResourceLimitError
+from .errors import ConsistencyError, DiagnosticError, InvalidInputError, ResourceLimitError
 from .oracle import numeric_commutation_check, projector_rank
 from .rings import (
     Ideal,
@@ -69,6 +71,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_UNDECIDED = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_CENSUS_CAP = 64
 
@@ -637,7 +641,10 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except DiagnosticError as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        return EXIT_UNDECIDED
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

@@ -1,11 +1,12 @@
-"""Dense numeric cross-checks for the symbolic operator calculus.
+"""Numeric cross-checks for the symbolic operator calculus.
 
-Everything upstream is exact; this module deliberately is not.  It
-realises Weyl elements as complex matrices on functions over the
-carrier (amplitudes indexed by vector enumeration order) and confirms
-the symbolic answers: commutation scalars entrywise, and code
-dimensions as ranks of averaged projectors.  Floating point stays
-confined here.
+Everything upstream is exact; this module deliberately is not.  A Weyl
+operator on functions over the carrier (amplitudes indexed by vector
+enumeration order) is monomial: row i holds one entry, scalar *
+character(form(phase, y)) in the column of y = vector i - shift.  The
+oracle holds operators as such (perm, column) pairs, from its own table
+gathers and character sums; only ``weyl_matrix`` and the projector are
+dense.  Floating point stays confined here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DiagnosticError, InvalidInputError, ResourceLimitError
+from .rings import lookup
 from .spaces import PhaseSpace
 from .weyl import StabiliserGroup, WeylElement, commutator
 
@@ -25,29 +27,32 @@ DEAD_BAND_FLOOR = 1e-10
 COMMUTATION_TOL = 1e-9
 
 
-def _shift_permutation(space: PhaseSpace, shift) -> np.ndarray:
-    """perm[i] = index of (vector i) - shift, so out[i] = f[perm[i]]."""
-    ring = space.ring
-    shifted = ring.add_table[
-        space.coords, ring.neg_table[np.asarray(shift, dtype=np.int64)][None, :]
-    ]
-    powers = ring.size ** np.arange(space.rank, dtype=np.int64)
-    return shifted @ powers
-
-
-def _phase_column(space: PhaseSpace, phase) -> np.ndarray:
-    """Entry i holds the unit complex character(form(phase, vector i)),
-    summed term by term: the character is additive, so no add table and
-    no form kernel of the exact side is needed."""
-    ring = space.ring
-    nums = np.zeros(space.size, dtype=np.int64)
-    for base in range(0, space.rank, space.k):
+def _monomials(space: PhaseSpace, elements) -> tuple[np.ndarray, np.ndarray]:
+    """Row e of both arrays is element e: its matrix row i holds cols[e, i]
+    in column perms[e, i], the index of y = vector i - shift, and
+    cols[e, i] = scalar * character(form(phase, y)), summed term by term
+    over the form's entries (the character is additive)."""
+    ring, m, k = space.ring, space.ring.size, space.k
+    shifts = ring.neg_table[np.array([e.shift for e in elements], dtype=np.int64)]
+    phases = np.array([e.phase for e in elements], dtype=np.int64)
+    perms = np.zeros((len(elements), space.size), dtype=np.int64)
+    nums = np.zeros_like(perms)
+    for j in reversed(range(space.rank)):
+        moved = lookup(ring.add_table, space.coords[:, j], shifts[:, j, None])
+        perms *= m
+        perms += moved
+        base, q = j - j % k, j % k
         for p, row in enumerate(space.form):
-            for q, entry in enumerate(row):
-                coeff = ring.mul_table.item(phase[base + p], entry)
-                if coeff != ring.zero:
-                    nums += ring.eps_num[ring.mul_table[coeff]][space.coords[:, base + q]]
-    return np.exp(2j * np.pi * (nums % ring.eps_den) / ring.eps_den)
+            if row[q] != ring.zero:
+                coeff = ring.mul_table[phases[:, base + p], row[q]]
+                nums += ring.eps_num[lookup(ring.mul_table, coeff[:, None], moved)]
+    den = ring.eps_den
+    nums %= den
+    cols = np.exp(2j * np.pi * np.arange(den) / den)[nums]
+    # In place but scalar first, as in scalar * column: numpy's complex
+    # product can round differently with its operands swapped.
+    scalars = np.array([e.turn.as_complex() for e in elements])
+    return perms, np.multiply(scalars[:, None], cols, out=cols)
 
 
 def apply_weyl(space: PhaseSpace, e: WeylElement, state: np.ndarray) -> np.ndarray:
@@ -62,13 +67,10 @@ def apply_weyl(space: PhaseSpace, e: WeylElement, state: np.ndarray) -> np.ndarr
         raise InvalidInputError(
             f"state has {state.shape[0]} amplitudes, expected {space.size}"
         )
-    perm = _shift_permutation(space, e.shift)
-    moved = state[perm] if state.ndim == 1 else state[perm, :]
-    phases = _phase_column(space, e.phase)[perm]
-    scalar = e.turn.as_complex()
+    (perm,), (col,) = _monomials(space, (e,))
     if state.ndim == 1:
-        return scalar * phases * moved
-    return scalar * phases[:, None] * moved
+        return col * state[perm]
+    return col[:, None] * state[perm, :]
 
 
 def weyl_matrix(space: PhaseSpace, e: WeylElement) -> np.ndarray:
@@ -80,13 +82,18 @@ def weyl_matrix(space: PhaseSpace, e: WeylElement) -> np.ndarray:
 
 def numeric_commutation_check(space: PhaseSpace, e1: WeylElement, e2: WeylElement,
                               tol: float = COMMUTATION_TOL) -> bool:
-    """Apply both operator orders to the full standard basis and compare
-    entrywise against the exact commutator scalar."""
-    basis = np.eye(space.size, dtype=complex)
-    forward = apply_weyl(space, e1, apply_weyl(space, e2, basis))
-    backward = apply_weyl(space, e2, apply_weyl(space, e1, basis))
+    """Multiply the operators in both orders, (p1, c1)(p2, c2) =
+    (p2[p1], c1 * c2[p1]), and compare against the exact commutator
+    scalar: the permutations must be equal (else a row holds two unit
+    entries in different columns) and the columns agree up to the scalar.
+    This is the entrywise test of the dense products, in O(|H|)."""
+    if space.size > APPLY_BOUND:
+        raise ResourceLimitError(f"carrier size {space.size} exceeds {APPLY_BOUND}")
+    (p1, p2), (c1, c2) = _monomials(space, (e1, e2))
+    if not np.array_equal(p2[p1], p1[p2]):
+        return False
     scalar = commutator(space, e1, e2).as_complex()
-    return bool(np.max(np.abs(forward - scalar * backward)) < tol)
+    return bool(np.max(np.abs(c1 * c2[p1] - scalar * (c2 * c1[p2]))) < tol)
 
 
 def projector_rank(space: PhaseSpace, s: StabiliserGroup) -> int:
@@ -103,14 +110,16 @@ def projector_rank(space: PhaseSpace, s: StabiliserGroup) -> int:
 
 
 def _group_sum(space: PhaseSpace, s: StabiliserGroup) -> np.ndarray:
-    """The sum of the elements' matrices.  Row i of an element's matrix
-    holds one entry, at column perm[i], so each element's entries are
-    added in place rather than multiplied out of a dense identity."""
-    rows = np.arange(space.size)
-    total = np.zeros((space.size, space.size), dtype=complex)
-    for e in s.elements:
-        perm = _shift_permutation(space, e.shift)
-        total[rows, perm] += e.turn.as_complex() * _phase_column(space, e.phase)[perm]
+    """The sum of the elements' matrices.  Every element's entries are
+    scattered in one ``bincount`` over row * |H| + column, once for the
+    real and once for the imaginary parts; a bin adds its entries in
+    element order, as the dense sum does."""
+    size = space.size
+    bins, cols = _monomials(space, s.elements)
+    bins += np.arange(size) * size
+    total = np.empty((size, size), dtype=complex)
+    total.real.flat = np.bincount(bins.ravel(), cols.real.ravel(), size * size)
+    total.imag.flat = np.bincount(bins.ravel(), cols.imag.ravel(), size * size)
     return total
 
 

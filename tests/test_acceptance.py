@@ -250,7 +250,7 @@ def test_criterion_03_commutation_law(z2, z3, z4, f2u):
                 if not numeric_commutation_check(space, shift, phase, tol=1e-9):
                     ok = False
                 numeric += 1
-    _verdict(3, ok, f"{symbolic} label pairs exact, {numeric} dense pairs within 1e-9")
+    _verdict(3, ok, f"{symbolic} label pairs exact, {numeric} numeric pairs within 1e-9")
 
 
 def test_criterion_04_label_correspondence(z4, f2u):

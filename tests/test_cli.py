@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import frobqec
-from frobqec import InvalidInputError
+import frobqec.oracle
+from frobqec import ConsistencyError, DiagnosticError, InvalidInputError
 from frobqec.cli import main, ring_from_doc, scenario_from_doc
 
 CHAIN_SCENARIO = {
@@ -305,6 +306,33 @@ def test_resource_bound_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "code", "--scenario", path)
     assert code == 3
     assert "resource bound" in err
+
+
+def _refuse_with(error):
+    def refuse(*args, **kwargs):
+        raise error
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "module, name, error, command, exit_code, prefix",
+    [
+        pytest.param(frobqec.oracle, "matrix_rank_with_dead_band",
+                     DiagnosticError("pivot 5.000e-09 falls in the dead band"),
+                     "oracle", 4, "diagnostic: ", id="dead-band-is-undecided"),
+        pytest.param(frobqec.cli, "make_chain_ring",
+                     ConsistencyError("character is not generating"),
+                     "ring", 5, "internal error: ", id="builder-fault-is-internal"),
+    ],
+)
+def test_undecided_and_internal_errors_have_their_own_exits(
+        tmp_path, capsys, monkeypatch, module, name, error, command, exit_code, prefix):
+    monkeypatch.setattr(module, name, _refuse_with(error))
+    code, out, err = _run(capsys, command, "--scenario", _write(tmp_path, CHAIN_SCENARIO))
+    assert code == exit_code
+    assert out == ""
+    assert err == f"{prefix}{error}\n"
+    assert "Traceback" not in err
 
 
 def test_oversized_ring_is_a_resource_bound(tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""Dense numeric confirmation of the symbolic calculus.
+"""Numeric confirmation of the symbolic calculus.
 
 These tests treat the matrix realisation as an independent witness: the
 abstract product law, commutation scalars, and dimension formula all
 have to survive contact with explicit complex matrices.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from frobqec import (
     Turn,
     apply_weyl,
     code_dimension,
+    commutator,
     enumerate_submodules,
     group_closure,
     identity_element,
@@ -122,6 +125,97 @@ def test_measured_chain_scalar_is_minus_one(f2u_line):
     mask = np.abs(forward) > 0.5
     ratios = forward[mask] / backward[mask]
     assert np.allclose(ratios, -1, atol=1e-9)
+
+
+def _dense_commutation_check(space, e1, e2, tol=oracle.COMMUTATION_TOL):
+    """Reference: both operator orders applied to the full standard
+    basis, compared entrywise against the exact commutator scalar."""
+    basis = np.eye(space.size, dtype=complex)
+    forward = apply_weyl(space, e1, apply_weyl(space, e2, basis))
+    backward = apply_weyl(space, e2, apply_weyl(space, e1, basis))
+    scalar = oracle.commutator(space, e1, e2).as_complex()
+    return bool(np.max(np.abs(forward - scalar * backward)) < tol)
+
+
+SMALL_SPACES = [("z2", 1, 3), ("z4", 1, 2), ("f2u", 2, 1), ("z6", 1, 2)]
+
+
+def _seeded_elements(space, rng, count):
+    vec = lambda: tuple(int(x) for x in rng.integers(0, space.ring.size, space.rank))
+    return [weyl_element(space, Turn(int(rng.integers(8)), 8), vec(), vec()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("ring_name, k, n", SMALL_SPACES)
+def test_monomial_check_matches_the_dense_reference(request, ring_name, k, n):
+    space = std_space(request.getfixturevalue(ring_name), k, n)
+    elements = _seeded_elements(space, np.random.default_rng(20261019), 8)
+    scalars = set()
+    for e1 in elements:
+        for e2 in elements:
+            assert numeric_commutation_check(space, e1, e2)
+            assert _dense_commutation_check(space, e1, e2)
+            scalars.add(oracle.commutator(space, e1, e2))
+    assert len(scalars) > 1  # non-commuting pairs are among them
+
+
+def _swap_two_entries(perms, cols, row):
+    perms[row, [0, 1]] = perms[row, [1, 0]]
+
+
+def _perturb_one_entry(perms, cols, row):
+    cols[row, 0] += 1e-6
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(_swap_two_entries, id="swap-two-permutation-entries"),
+    pytest.param(_perturb_one_entry, id="perturb-one-column-entry"),
+    pytest.param(None, id="wrong-exact-turn"),
+])
+@pytest.mark.parametrize("ring_name, k, n", SMALL_SPACES)
+def test_tampered_operands_fail_both_checks(request, monkeypatch, ring_name, k, n, tamper):
+    space = std_space(request.getfixturevalue(ring_name), k, n)
+    rng = np.random.default_rng(20261019)
+    # e2 shifts by the last unit vector, which moves rows 0 and 1 of e1
+    # to rows other than 0 and 1, so a tampered entry there shows in one
+    # product order only.
+    unit = (0,) * (space.rank - 1) + (space.ring.one,)
+    for e1, other in zip(_seeded_elements(space, rng, 4), _seeded_elements(space, rng, 4)):
+        e2 = weyl_element(space, other.turn, unit, other.phase)
+        assert numeric_commutation_check(space, e1, e2)
+        with monkeypatch.context() as patch:
+            if tamper is None:
+                exact = oracle.commutator
+                patch.setattr(oracle, "commutator", lambda *args: exact(*args) + Turn(1, 2))
+            else:
+                build = oracle._monomials
+
+                def tampered(space, elements):
+                    perms, cols = build(space, elements)
+                    for row, e in enumerate(elements):
+                        if e is e1:
+                            tamper(perms, cols, row)
+                    return perms, cols
+
+                patch.setattr(oracle, "_monomials", tampered)
+            assert not numeric_commutation_check(space, e1, e2)
+            assert not _dense_commutation_check(space, e1, e2)
+
+
+def test_commutation_check_is_guarded_and_stays_small(z2):
+    space = std_space(z2, 1, 12)
+    shift = weyl_element(space, T0, (1,) * 12, space.zero_vector())
+    phase = weyl_element(space, T0, space.zero_vector(), (1,) + (0,) * 11)
+    assert space.coords.shape == (4096, 12)  # cached on the space before tracing
+    tracemalloc.start()
+    try:
+        assert numeric_commutation_check(space, shift, phase)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    big = std_space(z2, 1, 13)
+    with pytest.raises(ResourceLimitError):
+        numeric_commutation_check(big, identity_element(big), identity_element(big))
 
 
 def test_commuting_pair_agrees_to_machine_precision(z4_line):
@@ -232,15 +326,23 @@ def test_oracle_runs_without_the_exact_form_kernel(request, monkeypatch, ring_na
     dimensions = [code_dimension(space, s) for s in groups]
     assert any(dimensions) and len(set(dimensions)) > 1
 
-    def refuse(*args):
-        raise AssertionError("the oracle ran the exact side's form kernel")
+    pairs = [(gens[i], gens[j]) for gens in [elements] + [s.generators for s in groups]
+             for i in range(len(gens)) for j in range(i, len(gens))]
+    exact = {(id(e1), id(e2)): commutator(space, e1, e2) for e1, e2 in pairs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran the exact side's fast path")
 
     for module in (frobqec.spaces, frobqec.weyl, frobqec.analysis):
         monkeypatch.setattr(module, "_form", refuse)
+    monkeypatch.setattr(frobqec.weyl, "_label_walk", refuse)
+    monkeypatch.setattr(frobqec.weyl, "_mul_many", refuse)
+    monkeypatch.setattr(oracle, "commutator", lambda space, e1, e2: exact[id(e1), id(e2)])
     basis = np.eye(space.size, dtype=complex)
     for e, ref in zip(elements, references):
         assert np.max(np.abs(apply_weyl(space, e, basis) - ref)) < 1e-9
     assert [projector_rank(space, s) for s in groups] == dimensions
+    assert all(numeric_commutation_check(space, e1, e2) for e1, e2 in pairs)
 
 
 def test_apply_weyl_guards(z2, z4, z4_line):
