@@ -18,10 +18,11 @@ from .spaces import (
     _check_vector,
     _first_nontrivial,
     _form,
-    enumerate_submodules,
+    form_many,
     identity_form,
     is_self_orthogonal,
     orthogonal,
+    submodule_levels,
     submodule_span,
 )
 from .weyl import (
@@ -380,21 +381,34 @@ class CensusReport:
 
 
 def submodule_census(space: PhaseSpace, max_elems: int) -> CensusReport:
+    """Count the submodules of the doubled space up to ``max_elems``
+    elements a level at a time, as ``spaces.submodule_levels`` walks them
+    with their isotropy, holding no more than two levels.
+
+    The CSS and witness tests of ``css_verdict`` run as masks over the
+    index rows of the isotropic modules: a label's index is shift + |H| *
+    phase, so a module splits iff |phase = 0| |shift = 0| = |L|, and a
+    non-CSS one has a witness iff some label's own phase and shift pair
+    non-trivially, read from one table over the doubled space."""
     if max_elems < 1:
         raise InvalidInputError("max_elems must be positive")
-    modules = enumerate_submodules(space, doubled=True, max_elems=max_elems)
-    isotropic = css = with_witness = 0
-    for module in modules:
-        if not is_isotropic(space, module):
-            continue
-        isotropic += 1
-        verdict = css_verdict(space, module)
-        if verdict.status == "css":
-            css += 1
-        elif verdict.witness is not None:
-            with_witness += 1
+    levels = submodule_levels(space, doubled=True, max_elems=max_elems, isotropic=True)
+    # Row b, column a: the pairing of phase b with shift a, at label index a + |H| * b.
+    own = space.ring.eps_num[form_many(space, space.coords, space.coords)] % space.ring.eps_den
+    anticommuting = own.ravel() > 0
+    zero = space.vector_index(space.zero_vector())
+    submodules = isotropic = css = with_witness = 0
+    for level in levels:
+        for batch in level:
+            submodules += len(batch.indices)
+            rows = batch.indices[batch.isotropic]
+            phase, shift = np.divmod(rows, space.size)
+            split = (phase == zero).sum(axis=1) * (shift == zero).sum(axis=1) == rows.shape[1]
+            isotropic += len(rows)
+            css += int(split.sum())
+            with_witness += int(anticommuting[rows[~split]].any(axis=1).sum())
     return CensusReport(
-        submodules=len(modules),
+        submodules=submodules,
         isotropic=isotropic,
         css=css,
         non_css_with_witness=with_witness,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +25,11 @@ from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 from .rings import RingSpec, Turn, _contains, digits, index_span, indices_of, lookup
 
 AMBIENT_BOUND = 1 << 20
-# The submodule walk keeps every module it builds; past this many it is
-# refused before its queue exhausts memory.  The censuses of the tests
-# and the benchmark build at most about 2000.
+# The submodule walk is refused once it has built more modules than
+# this.  ``enumerate_submodules`` keeps them all, so the bound caps its
+# memory; the census holds two levels, so for it the bound caps the run
+# time and the size of a level.  The censuses of the tests and the
+# benchmark walk at most about 3000.
 MAX_SUBMODULES = 1 << 17
 # Entries per pairing block in the sweeps over modules.
 BLOCK = 1 << 16
@@ -371,12 +374,19 @@ def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
     form(v, g)), and that vanishes for every r iff form(v, g) = 0,
     because the character is generating.  Turns alone would not do: a
     vector can pair trivially with g yet not with r g.  An additive-only
-    code has no scalars to sweep, so v is tested by its turns against
-    every element, and its complement is itself only additively closed.
+    code has no scalars to sweep, so v is tested by its turns, and its
+    complement is itself only additively closed.  The turn of form(v, .)
+    is additive, so trivial turns on a set generating (C, +) are trivial
+    on all of C: v is tested against the greedy generating set that
+    ``index_span`` picks from the elements, at most log2 |C| of them.
     """
     if code.doubled:
         raise InvalidInputError("orthogonal complements live in the plain space")
-    probes = _generator_rows(code) if code.r_closed else code.rows
+    if code.r_closed:
+        probes = _generator_rows(code)
+    else:
+        _, grew = index_span(space.ring, space.rank, code.indices)
+        probes = digits(code.indices[grew], space.ring.size, space.rank)
     ring = space.ring
     kept = []
     chunk = max(1, BLOCK // max(1, len(probes)))
@@ -414,13 +424,25 @@ def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:
     return bool((nums == 0).all())
 
 
-def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
-                         max_elems: int | None = None) -> list[Submodule]:
+class ModuleBatch(NamedTuple):
+    """Submodules of one size, a row each: ``indices`` holds the sorted
+    indices of the elements, ``generators`` the indices of the greedy
+    generators, and ``isotropic``, when the walk tracks it, whether the
+    module is isotropic."""
+
+    indices: np.ndarray
+    generators: np.ndarray
+    isotropic: np.ndarray | None
+
+
+def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
+                     max_elems: int | None = None, isotropic: bool = False):
     """Every scalar-closed submodule with at most ``max_elems`` vectors,
     each built once by canonical augmentation (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998).  The ambient must
-    stay at desk scale.  Modules come out by size, then by their
-    ``elements`` tuples.
+    exhaustive generation", J. Algorithms 26, 1998), yielded one level
+    at a time: level t lists the modules with t generators as one
+    ``ModuleBatch`` per module size.  The ambient must stay at desk
+    scale.  Only the level being grown and its children are held.
 
     The canonical generators of a module N are its greedy sequence
     g_1 < ... < g_t, where g_i is the least index of N outside
@@ -431,18 +453,32 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
     only when x is an orbit representative past g outside M and the
     least element of M + Rx outside M.  The rule asks nothing of the
     ring, so Z_m, chain rings, Z_4[u]/(u^2) and products need no
-    per-family canonical form, and the x accepted on the way to a
-    module form its greedy sequence, recorded as its ``generators``.
+    per-family canonical form.  The children of a level all have one
+    generator more, so the level is walked as a whole (orderly
+    generation, Read, "Every one a winner", Ann. Discrete Math. 2, 1978):
+    the parents of one size, a chunk at a time, against all their
+    candidates at once.
 
-    Per parent, one gather reads which multiples r*x of each candidate
-    lie in M.  That column is the ideal I_x = {r : r*x in M}, so
+    One gather reads which multiples r*x of each candidate lie in its
+    parent M.  That column is the ideal I_x = {r : r*x in M}, so
     |M + Rx| = |M| |R| / |I_x| refuses a candidate over the cap before it
     is built, and M + Rx is the disjoint union of the M + r*x over the
-    least elements r of the cosets of I_x.  Candidates that share an ideal
-    are built together, in increasing order and blocks of about BLOCK
-    entries.  After each block, a later candidate y inside a built M + Rx
-    of size |M + Ry| is dropped: then M + Ry = M + Rx, whose least new
-    element is at most x < y, so y is not canonical.
+    least elements r of the cosets of I_x.  (Parent, candidate) pairs
+    that share an ideal are built together, in (parent, candidate) order
+    and blocks of about BLOCK entries.  After each block, a later
+    candidate y of M inside a built M + Rx of size |M + Ry| is dropped:
+    then M + Ry = M + Rx, whose least new element is at most x < y, so y
+    is not canonical.
+
+    With ``isotropic`` (doubled only), the flag is carried down: for a
+    scalar-closed M, M + Rx is isotropic iff M is and the alternating
+    form form(b_x, a_g) - form(b_g, a_x) vanishes on every generator g
+    of M (sweeping scalars through the character leaves no slack, and
+    the form is alternating, so x against itself is nothing).
+
+    The ambient bound is checked at the call, before the first level.
+    ``MAX_SUBMODULES`` bounds the modules walked: the running count is
+    checked after every block, before a level is put together.
     """
     ring = space.ring
     m = ring.size
@@ -452,6 +488,8 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
         raise ResourceLimitError(
             f"submodule enumeration over {ambient_size} ambient vectors is out of bounds"
         )
+    if isotropic and not doubled:
+        raise InvalidInputError("isotropy applies to label modules in the doubled space")
     if max_elems is None:
         max_elems = ambient_size
 
@@ -473,61 +511,143 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
         ring.add_table[np.ix_(site[:, i], site[:, i])] * m**i for i in range(d))
     scales = piece ** np.arange(width // d)
 
-    transversals: dict[bytes, np.ndarray] = {}
-    # Each entry: a module's index array and its generators as columns of reps.
-    queue = [(indices_of([ring.zero] * width, m).reshape(1), ())]
-    for group, gens in queue:
-        first = gens[-1] + 1 if gens else 0
-        inside = np.zeros(ambient_size, dtype=bool)
-        inside[group] = True
-        hit = inside[multiples[:, first:]]
-        hits = hit.sum(axis=0)
-        sizes = group.size * m // hits
-        keep = (hits < m) & (sizes <= max_elems)
-        todo, sizes, hit = first + np.flatnonzero(keep), sizes[keep], hit[:, keep]
-        if not todo.size:
-            continue
-        keys = np.packbits(hit.T, axis=1)
-        ideal_ids, ideal_of = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
-                                        return_inverse=True)
-        rest = np.arange(todo.size)
-        while rest.size:
-            take = max(1, int(np.cumsum(sizes[rest]).searchsorted(BLOCK, side="right")))
-            block, rest = rest[:take], rest[take:]
-            for ideal in range(ideal_ids.size):
-                cols = block[ideal_of[block] == ideal]
-                if not cols.size:
-                    continue
-                key = ideal_ids[ideal].tobytes()
-                if key not in transversals:
-                    # The least element of each coset r + I_x, the coset I_x first.
-                    members = hit[:, cols[0]]
-                    firsts = np.flatnonzero(ring.add_table[:, members].min(axis=1) == np.arange(m))
-                    transversals[key] = firsts[np.argsort(~members[firsts], kind="stable")]
-                steps = multiples[transversals[key]][:, todo[cols]]
-                sums = lookup(add, group[:, None, None] % piece, steps % piece)
-                for scale in scales[1:]:
-                    sums = sums + scale * lookup(add, group[:, None, None] // scale % piece,
-                                                 steps // scale % piece)
-                # Past the coset I_x itself, sums[:, 1:] holds (M + Rx) minus M.
-                canonical = sums[:, 1:].min(axis=(0, 1)) == reps[todo[cols]]
-                children = sums.reshape(-1, cols.size)
-                for row, col in zip(np.sort(children[:, canonical].T, axis=1),
-                                    todo[cols[canonical]].tolist()):
-                    queue.append((row, gens + (col,)))
-                if len(queue) > MAX_SUBMODULES:
-                    raise ResourceLimitError(
-                        f"submodule enumeration walked more than {MAX_SUBMODULES} modules")
-                if rest.size:
-                    built = np.zeros(ambient_size, dtype=bool)
-                    built[children] = True
-                    rest = rest[~(built[reps[todo[rest]]] & (sizes[rest] == len(children)))]
+    def added(group: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Row i holds group[i, j] + steps[i, k] over every j and k, as indices."""
+        group, steps = group[:, :, None], steps[:, None, :]
+        if scales.size == 1:
+            sums = lookup(add, group, steps)
+        else:
+            sums = lookup(add, group % piece, steps % piece)
+            for scale in scales[1:]:
+                sums = sums + scale * lookup(add, group // scale % piece, steps // scale % piece)
+        return sums.reshape(len(group), -1)
 
+    def carried(batch: ModuleBatch) -> ModuleBatch:
+        """Children whose ``isotropic`` holds their parents' flags, with
+        the flags finished: x, the last generator, must satisfy
+        form(b_x, a_g) = form(b_g, a_x) for every earlier generator g."""
+        if batch.isotropic is None:
+            return batch
+        r = space.rank
+        gens = coords[batch.generators]
+        x, g = gens[:, -1:], gens[:, :-1]
+        same = _form(space, x[..., r:], g[..., :r]) == _form(space, g[..., r:], x[..., :r])
+        return batch._replace(isotropic=batch.isotropic & same.all(axis=1))
+
+    transversals: dict[bytes, np.ndarray] = {}
+
+    def transversal(members: np.ndarray) -> np.ndarray:
+        """The least element of each coset r + I, the coset I first."""
+        key = np.packbits(members).tobytes()
+        if key not in transversals:
+            firsts = np.flatnonzero(ring.add_table[:, members].min(axis=1) == np.arange(m))
+            transversals[key] = firsts[np.argsort(~members[firsts], kind="stable")]
+        return transversals[key]
+
+    def pairs_of(group: np.ndarray, firsts: np.ndarray):
+        """Every (parent, candidate) pair of a chunk of parents, candidates
+        past the parent's last generator, in (parent, candidate) order, with
+        the child's size and the parent's ideal column; pairs with the
+        candidate inside the parent or the child over the cap are dropped."""
+        low = firsts.min()
+        inside = np.zeros((len(group), ambient_size), dtype=bool)
+        inside[np.arange(len(group))[:, None], group] = True
+        hit = inside[:, multiples[:, low:]]
+        hits = hit.sum(axis=1)
+        sizes = group.shape[1] * m // hits
+        parent, col = np.nonzero((hits < m) & (sizes <= max_elems)
+                                 & (np.arange(low, reps.size) >= firsts[:, None]))
+        return parent, low + col, sizes[parent, col], hit[parent, :, col].T
+
+    # |M + Rx| / |M| = |R| / |I_x| divides |R| and exceeds 1.
+    least_step = min(p for p in range(2, m + 1) if m % p == 0)
+
+    def children_of(batch: ModuleBatch):
+        """The canonical children of a batch of parents, a chunk of parents
+        at a time and a block of pairs of one ideal at a time."""
+        size = batch.indices.shape[1]
+        if size * least_step > max_elems:
+            return
+        firsts = (reps.searchsorted(batch.generators[:, -1]) + 1 if batch.generators.size
+                  else np.zeros(len(batch.indices), dtype=np.int64))
+        chunk = max(1, BLOCK // max(ambient_size, reps.size * m))
+        for start in range(0, len(batch.indices), chunk):
+            group = batch.indices[start : start + chunk]
+            parent, cand, sizes, hit = pairs_of(group, firsts[start : start + chunk])
+            if not cand.size:
+                continue
+            keys = np.packbits(hit.T, axis=1)
+            _, example, ideal_of = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                             return_index=True, return_inverse=True)
+            rest = np.arange(cand.size)
+            while rest.size:
+                take = max(1, int(np.cumsum(sizes[rest]).searchsorted(BLOCK, side="right")))
+                block, rest = rest[:take], rest[take:]
+                # Only the last parent of a block can have candidates left;
+                # for it, the least size of a built child holding each vector.
+                spill = parent[block[-1]]
+                least_built = (np.full(ambient_size, ambient_size + 1)
+                               if rest.size and parent[rest[0]] == spill else None)
+                for ideal in range(example.size):
+                    pairs = block[ideal_of[block] == ideal]
+                    if not pairs.size:
+                        continue
+                    cosets = transversal(hit[:, example[ideal]])[1:]
+                    # (M + Rx) minus M: the cosets M + r*x past I_x itself.
+                    new = added(group[parent[pairs]], multiples[cosets][:, cand[pairs]].T)
+                    if least_built is not None:
+                        at = new[parent[pairs] == spill]
+                        least_built[at] = np.minimum(least_built[at], size * (cosets.size + 1))
+                    canonical = new.min(axis=1) == reps[cand[pairs]]
+                    if canonical.any():
+                        pairs, new = pairs[canonical], new[canonical]
+                        owner, x = start + parent[pairs], reps[cand[pairs]]
+                        rows = np.concatenate([group[parent[pairs]], new], axis=1)
+                        # Isotropy is the parent's flag here; ``carried`` finishes it.
+                        yield ModuleBatch(
+                            np.sort(rows, axis=1), np.column_stack([batch.generators[owner], x]),
+                            None if batch.isotropic is None else batch.isotropic[owner])
+                if least_built is not None:
+                    rest = rest[(parent[rest] != spill)
+                                | (least_built[reps[cand[rest]]] > sizes[rest])]
+
+    def walk():
+        zero = indices_of([ring.zero] * width, m).reshape(1, 1)
+        level = [ModuleBatch(zero, np.zeros((1, 0), dtype=np.int64),
+                             np.ones(1, dtype=bool) if isotropic else None)]
+        walked = 1
+        while level:
+            yield level
+            children: dict[int, list[ModuleBatch]] = {}
+            for batch in level:
+                for found in children_of(batch):
+                    walked += len(found.indices)
+                    if walked > MAX_SUBMODULES:
+                        raise ResourceLimitError(
+                            f"submodule enumeration walked more than {MAX_SUBMODULES} modules")
+                    children.setdefault(found.indices.shape[1], []).append(found)
+            level = [carried(ModuleBatch(*(None if parts[0] is None else np.concatenate(parts)
+                                           for parts in zip(*batches))))
+                     for _, batches in sorted(children.items())]
+
+    return walk()
+
+
+def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
+                         max_elems: int | None = None) -> list[Submodule]:
+    """Every scalar-closed submodule with at most ``max_elems`` vectors,
+    the levels of ``submodule_levels`` put together.  Modules come out
+    by size, then by their ``elements`` tuples, with their greedy
+    generators as ``generators``."""
+    m = space.ring.size
+    width = _width(space, doubled)
     modules = [
-        Submodule(space, map(tuple, coords[reps[list(gens)]].tolist()), group,
+        Submodule(space, map(tuple, digits(gens, m, width).tolist()), indices,
                   doubled=doubled, r_closed=True)
-        for group, gens in queue
+        for level in submodule_levels(space, doubled=doubled, max_elems=max_elems)
+        for batch in level
+        for indices, gens in zip(batch.indices, batch.generators)
     ]
     # Indices with coordinate 0 as the slowest digit sort like the tuples.
-    tuple_rank = indices_of(coords[:, ::-1], m)
+    tuple_rank = indices_of(digits(np.arange(m**width), m, width)[:, ::-1], m)
     return sorted(modules, key=lambda s: (len(s), np.sort(tuple_rank[s.indices]).tolist()))

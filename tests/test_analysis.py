@@ -145,6 +145,63 @@ def test_census_counts(request, fixture, frozen):
     ) == frozen
 
 
+def _census_by_modules(space, max_elems):
+    """Reference: the census as a loop over the enumerated modules, with
+    ``is_isotropic`` and ``css_verdict`` on each."""
+    modules = enumerate_submodules(space, doubled=True, max_elems=max_elems)
+    isotropic = css = with_witness = 0
+    for module in modules:
+        if not is_isotropic(space, module):
+            continue
+        isotropic += 1
+        verdict = css_verdict(space, module)
+        if verdict.status == "css":
+            css += 1
+        elif verdict.witness is not None:
+            with_witness += 1
+    return len(modules), isotropic, css, with_witness
+
+
+def _seeded_form_space(ring, rng):
+    """A k = 2 space with a seeded perfect form that is not the identity."""
+    while True:
+        a, b, c = (rng.randrange(ring.size) for _ in range(3))
+        if ((a, b), (b, c)) == identity_form(ring, 2):
+            continue
+        try:
+            return make_space(ring, 2, 1, ((a, b), (b, c)))
+        except InvalidInputError:
+            continue
+
+
+def _census_cases():
+    rng = random.Random(20261019)
+    z2, z3, z4, f2u = make_zm(2), make_zm(3), make_zm(4), make_chain_ring(2, 2)
+    spaces_ = [
+        ("z2-n1", std_space(z2, 1, 1)), ("z2-n2", std_space(z2, 1, 2)),
+        ("z2-n3", std_space(z2, 1, 3)), ("z3-n1", std_space(z3, 1, 1)),
+        ("z3-n2", std_space(z3, 1, 2)), ("z4-n1", std_space(z4, 1, 1)),
+        ("z4-n2", std_space(z4, 1, 2)), ("z6", std_space(make_zm(6), 1, 1)),
+        ("z8", std_space(make_zm(8), 1, 1)), ("z16", std_space(make_zm(16), 1, 1)),
+        ("z2xz3", std_space(make_product(z2, z3), 1, 1)),
+        ("f2u-n1", std_space(f2u, 1, 1)), ("f2u-k2", std_space(f2u, 2, 1)),
+        ("z2-form", _seeded_form_space(z2, rng)), ("z3-form", _seeded_form_space(z3, rng)),
+        ("z4-form", _seeded_form_space(z4, rng)), ("f2u-form", _seeded_form_space(f2u, rng)),
+    ]
+    # Caps stop at 64, where the reference loop meets a few thousand modules.
+    return [pytest.param(space, cap, id=f"{name}-cap{cap}")
+            for name, space in spaces_
+            for cap in sorted({min(c, space.size**2, 64) for c in (
+                1, 4, space.size**2, rng.choice([2, 3, 8]), rng.choice([16, 32]))})]
+
+
+@pytest.mark.parametrize("space, cap", _census_cases())
+def test_census_matches_the_module_loop(space, cap):
+    report = submodule_census(space, cap)
+    assert (report.submodules, report.isotropic, report.css,
+            report.non_css_with_witness) == _census_by_modules(space, cap)
+
+
 def test_census_respects_max_elems(z4_line):
     report = submodule_census(z4_line, 1)
     assert (report.submodules, report.isotropic, report.css) == (1, 1, 1)

@@ -31,6 +31,7 @@ from frobqec import (
     orthogonal,
     pairing_turn_numerators,
     phase_pairing,
+    submodule_census,
     submodule_span,
 )
 from frobqec import spaces
@@ -358,6 +359,17 @@ def test_enumeration_refuses_more_modules_than_the_bound(z4, monkeypatch):
         enumerate_submodules(space, doubled=True, max_elems=8)
 
 
+def test_census_refuses_more_modules_than_the_bound(z4, monkeypatch):
+    # The census keeps two levels, not every module, but walks as many.
+    space = std_space(z4, 1, 2)
+    monkeypatch.setattr(spaces, "MAX_SUBMODULES", 606)
+    report = submodule_census(space, 8)
+    assert (report.submodules, report.isotropic, report.css) == (606, 366, 54)
+    monkeypatch.setattr(spaces, "MAX_SUBMODULES", 605)
+    with pytest.raises(ResourceLimitError, match="more than 605 modules"):
+        submodule_census(space, 8)
+
+
 # ---------------------------------------------------------------------------
 # canonical augmentation
 
@@ -487,3 +499,53 @@ def test_orthogonal_matches_the_turn_test_on_every_submodule(space):
             perp = orthogonal(space, probe)
             assert perp.indices.tolist() == hand
             assert perp.r_closed
+
+
+# ---------------------------------------------------------------------------
+# orthogonal complements of additive-only codes
+
+def _orthogonal_by_element_turns(space, code):
+    """Reference: the turn of every carrier vector against every element
+    of the code, as ``orthogonal`` once tested additive-only codes."""
+    values = form_many(space, space.coords, code.rows)
+    return np.flatnonzero((space.ring.eps_num[values] % space.ring.eps_den == 0).all(axis=1))
+
+
+def _additive_spaces():
+    rng = np.random.default_rng(SEED)
+    z6 = make_product(make_zm(2), make_zm(3))
+    return [std_space(make_zm(4), 1, 2), _seeded_plane(make_zm(4), rng),
+            std_space(make_chain_ring(2, 2), 1, 2), _seeded_plane(make_chain_ring(2, 2), rng),
+            std_space(z6, 1, 2), std_space(make_chain_ring(4, 2), 1, 1), std_space(make_zm(8), 1, 2)]
+
+
+def test_additive_orthogonal_matches_the_element_turn_test():
+    rng = np.random.default_rng(SEED)
+    for space in _additive_spaces():
+        for count in (0, 1, 1, 2, 2, 3):
+            gens = [tuple(int(c) for c in rng.integers(0, space.ring.size, space.rank))
+                    for _ in range(count)]
+            code = additive_module(space, gens)
+            bare = Submodule(space, (), code.indices, doubled=False, r_closed=False)
+            for probe in (code, bare):
+                perp = orthogonal(space, probe)
+                assert perp.indices.tolist() == _orthogonal_by_element_turns(space, code).tolist()
+                assert not perp.r_closed
+
+
+def test_additive_orthogonal_probes_a_generating_set(monkeypatch):
+    ring = make_zm(256)
+    space = std_space(ring, 1, 2)
+    code = additive_module(space, [(1, 2), (0, 16)])
+    probes = []
+    original = spaces.form_many
+
+    def recording(space, rows, cols):
+        probes.append(len(cols))
+        return original(space, rows, cols)
+
+    monkeypatch.setattr(spaces, "form_many", recording)
+    perp = orthogonal(space, code)
+    # At most log2 |C| probes, not |C|.
+    assert len(code) == 4096 and len(perp) == 16
+    assert probes and max(probes) <= 12

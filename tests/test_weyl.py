@@ -136,6 +136,31 @@ def test_commutator_equals_omega_exhaustively(z4_line):
                     )
 
 
+def _commutator_by_products(space, e1, e2):
+    """Reference: e1 e2 e1^-1 e2^-1 as three products and two inverses."""
+    prod = weyl_mul(space, weyl_mul(space, e1, e2),
+                    weyl_mul(space, weyl_inv(space, e1), weyl_inv(space, e2)))
+    assert prod.label == (space.zero_vector(), space.zero_vector())
+    return prod.turn
+
+
+def _random_element(space, rng):
+    shift, phase = (tuple(rng.randrange(space.ring.size) for _ in range(space.rank))
+                    for _ in range(2))
+    return _w(space, Turn(rng.randrange(12), 12), shift, phase)
+
+
+@pytest.mark.parametrize("name", ["z4", "f2u", "z6"])
+def test_commutator_matches_the_product_reference(name, z4, f2u, z6):
+    ring = {"z4": z4, "f2u": f2u, "z6": z6}[name]
+    rng = random.Random(f"commutator-{name}")
+    hyperbolic = make_space(ring, 2, 1, ((ring.zero, ring.one), (ring.one, ring.zero)))
+    for space in (std_space(ring, 1, 2), hyperbolic):
+        for _ in range(150):
+            e1, e2 = (_random_element(space, rng) for _ in range(2))
+            assert commutator(space, e1, e2) == _commutator_by_products(space, e1, e2)
+
+
 def test_weyl_element_validates_labels(z4_line):
     with pytest.raises(InvalidInputError):
         weyl_element(z4_line, T0, (1, 0), (0,))
