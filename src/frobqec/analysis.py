@@ -382,17 +382,20 @@ class CensusReport:
 
 def submodule_census(space: PhaseSpace, max_elems: int) -> CensusReport:
     """Count the submodules of the doubled space up to ``max_elems``
-    elements a level at a time, as ``spaces.submodule_levels`` walks them
-    with their isotropy, holding no more than two levels.
+    elements a level at a time, as ``spaces.submodule_levels`` walks them,
+    holding no more than two levels.
 
-    The CSS and witness tests of ``css_verdict`` run as masks over the
-    index rows of the isotropic modules: a label's index is shift + |H| *
-    phase, so a module splits iff |phase = 0| |shift = 0| = |L|, and a
-    non-CSS one has a witness iff some label's own phase and shift pair
+    Isotropy is the test of ``weyl.is_isotropic`` on each batch at once:
+    form(b_g, a_h) = form(b_h, a_g) for every pair of greedy generators
+    g, h.  The CSS and witness tests of ``css_verdict`` run as masks over
+    the index rows of the isotropic modules: a label's index is shift +
+    |H| * phase, so a module splits iff |phase = 0| |shift = 0| = |L|, and
+    a non-CSS one has a witness iff some label's own phase and shift pair
     non-trivially, read from one table over the doubled space."""
     if max_elems < 1:
         raise InvalidInputError("max_elems must be positive")
-    levels = submodule_levels(space, doubled=True, max_elems=max_elems, isotropic=True)
+    levels = submodule_levels(space, doubled=True, max_elems=max_elems)
+    r = space.rank
     # Row b, column a: the pairing of phase b with shift a, at label index a + |H| * b.
     own = space.ring.eps_num[form_many(space, space.coords, space.coords)] % space.ring.eps_den
     anticommuting = own.ravel() > 0
@@ -401,7 +404,10 @@ def submodule_census(space: PhaseSpace, max_elems: int) -> CensusReport:
     for level in levels:
         for batch in level:
             submodules += len(batch.indices)
-            rows = batch.indices[batch.isotropic]
+            gens = digits(batch.generators, space.ring.size, 2 * r).reshape(
+                *batch.generators.shape, 2 * r)
+            pairs = _form(space, gens[:, :, None, r:], gens[:, None, :, :r])
+            rows = batch.indices[(pairs == pairs.transpose(0, 2, 1)).all(axis=(1, 2))]
             phase, shift = np.divmod(rows, space.size)
             split = (phase == zero).sum(axis=1) * (shift == zero).sum(axis=1) == rows.shape[1]
             isotropic += len(rows)

@@ -427,16 +427,14 @@ def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:
 class ModuleBatch(NamedTuple):
     """Submodules of one size, a row each: ``indices`` holds the sorted
     indices of the elements, ``generators`` the indices of the greedy
-    generators, and ``isotropic``, when the walk tracks it, whether the
-    module is isotropic."""
+    generators."""
 
     indices: np.ndarray
     generators: np.ndarray
-    isotropic: np.ndarray | None
 
 
 def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
-                     max_elems: int | None = None, isotropic: bool = False):
+                     max_elems: int | None = None):
     """Every scalar-closed submodule with at most ``max_elems`` vectors,
     each built once by canonical augmentation (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998), yielded one level
@@ -470,12 +468,6 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
     then M + Ry = M + Rx, whose least new element is at most x < y, so y
     is not canonical.
 
-    With ``isotropic`` (doubled only), the flag is carried down: for a
-    scalar-closed M, M + Rx is isotropic iff M is and the alternating
-    form form(b_x, a_g) - form(b_g, a_x) vanishes on every generator g
-    of M (sweeping scalars through the character leaves no slack, and
-    the form is alternating, so x against itself is nothing).
-
     The ambient bound is checked at the call, before the first level.
     ``MAX_SUBMODULES`` bounds the modules walked: the running count is
     checked after every block, before a level is put together.
@@ -488,8 +480,6 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
         raise ResourceLimitError(
             f"submodule enumeration over {ambient_size} ambient vectors is out of bounds"
         )
-    if isotropic and not doubled:
-        raise InvalidInputError("isotropy applies to label modules in the doubled space")
     if max_elems is None:
         max_elems = ambient_size
 
@@ -514,25 +504,10 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
     def added(group: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Row i holds group[i, j] + steps[i, k] over every j and k, as indices."""
         group, steps = group[:, :, None], steps[:, None, :]
-        if scales.size == 1:
-            sums = lookup(add, group, steps)
-        else:
-            sums = lookup(add, group % piece, steps % piece)
-            for scale in scales[1:]:
-                sums = sums + scale * lookup(add, group // scale % piece, steps // scale % piece)
+        sums = lookup(add, group % piece, steps % piece)
+        for scale in scales[1:]:
+            sums = sums + scale * lookup(add, group // scale % piece, steps // scale % piece)
         return sums.reshape(len(group), -1)
-
-    def carried(batch: ModuleBatch) -> ModuleBatch:
-        """Children whose ``isotropic`` holds their parents' flags, with
-        the flags finished: x, the last generator, must satisfy
-        form(b_x, a_g) = form(b_g, a_x) for every earlier generator g."""
-        if batch.isotropic is None:
-            return batch
-        r = space.rank
-        gens = coords[batch.generators]
-        x, g = gens[:, -1:], gens[:, :-1]
-        same = _form(space, x[..., r:], g[..., :r]) == _form(space, g[..., r:], x[..., :r])
-        return batch._replace(isotropic=batch.isotropic & same.all(axis=1))
 
     transversals: dict[bytes, np.ndarray] = {}
 
@@ -603,18 +578,15 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
                         pairs, new = pairs[canonical], new[canonical]
                         owner, x = start + parent[pairs], reps[cand[pairs]]
                         rows = np.concatenate([group[parent[pairs]], new], axis=1)
-                        # Isotropy is the parent's flag here; ``carried`` finishes it.
-                        yield ModuleBatch(
-                            np.sort(rows, axis=1), np.column_stack([batch.generators[owner], x]),
-                            None if batch.isotropic is None else batch.isotropic[owner])
+                        yield ModuleBatch(np.sort(rows, axis=1),
+                                          np.column_stack([batch.generators[owner], x]))
                 if least_built is not None:
                     rest = rest[(parent[rest] != spill)
                                 | (least_built[reps[cand[rest]]] > sizes[rest])]
 
     def walk():
         zero = indices_of([ring.zero] * width, m).reshape(1, 1)
-        level = [ModuleBatch(zero, np.zeros((1, 0), dtype=np.int64),
-                             np.ones(1, dtype=bool) if isotropic else None)]
+        level = [ModuleBatch(zero, np.zeros((1, 0), dtype=np.int64))]
         walked = 1
         while level:
             yield level
@@ -626,8 +598,7 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
                         raise ResourceLimitError(
                             f"submodule enumeration walked more than {MAX_SUBMODULES} modules")
                     children.setdefault(found.indices.shape[1], []).append(found)
-            level = [carried(ModuleBatch(*(None if parts[0] is None else np.concatenate(parts)
-                                           for parts in zip(*batches))))
+            level = [ModuleBatch(*map(np.concatenate, zip(*batches)))
                      for _, batches in sorted(children.items())]
 
     return walk()
@@ -649,5 +620,6 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
         for indices, gens in zip(batch.indices, batch.generators)
     ]
     # Indices with coordinate 0 as the slowest digit sort like the tuples.
-    tuple_rank = indices_of(digits(np.arange(m**width), m, width)[:, ::-1], m)
+    index = np.arange(m**width)
+    tuple_rank = sum(index // m**i % m * m ** (width - 1 - i) for i in range(width))
     return sorted(modules, key=lambda s: (len(s), np.sort(tuple_rank[s.indices]).tolist()))
