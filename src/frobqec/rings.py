@@ -6,10 +6,15 @@ the additive character is a vector of exact rationals (turns).  The
 tables are stored in ``TABLE_DTYPE``, the smallest unsigned type that
 holds every index (uint16, 32 MB per table at the 4096 bound).  numpy
 converts such index arrays to intp on every fancy index, on a slow path
-when there are two of them, so hot gathers indexed by table values go
-through ``lookup`` (one flat intp index).
+when there are two of them, and when there is one it is about 2.5
+times slower than casting the index to intp a block at a time first.
+So hot gathers indexed by table values go through ``lookup`` (one flat
+intp index) when 2-D, and through ``take`` of a block cast to intp
+when 1-D.
 The constructors verify the ring axioms and the generating property of
 the character at build time, so downstream code never re-proves them.
+Above 256 elements no build or check holds an |R|^2 temporary beside
+the tables.
 
 Three families are provided: integers mod m, chain rings Z_m[u]/(u^e)
 with the top-coefficient character, and binary products.  Every family
@@ -19,6 +24,7 @@ keeps a small ``family`` descriptor that doubles as its JSON document.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,10 +44,10 @@ TABLE_DTYPE = np.min_scalar_type(MAX_RING_SIZE - 1)
 EXHAUSTIVE_TRIPLE_LIMIT = 256
 _TRIPLE_SAMPLES = 1000
 _TRIPLE_SEED = 20260822
-# The chain-ring product fill and the character's additivity check run
-# on blocks of at most this many table entries, and the commutativity
-# checks on square tiles of this many, so no build or check needs an
-# |R|^2 intp temporary or reads a whole table in transposed order.
+# Table builds and the character's additivity check run on blocks of at
+# most this many table entries, and the commutativity checks on square
+# tiles of this many, so no build or check needs an |R|^2 temporary or
+# reads a whole table in transposed order.
 _CHECK_BLOCK = 1 << 16
 
 
@@ -181,15 +187,37 @@ def ring_pairing(ring: RingSpec, x: int, y: int) -> Turn:
     return ring.epsilon(ring.mul(x, y))
 
 
-def verify_generating_character(ring: RingSpec) -> bool:
+def verify_generating_character(ring: RingSpec, probes=None) -> bool:
     """True iff x -> character(x * .) is injective on the carrier.
 
     This is the Frobenius condition: it makes the additive group of the
     ring self-dual through the multiplication pairing.
+
+    The rows character(x * .) are told apart column by column: the
+    elements are split into classes by their values on the columns
+    y seen so far, one column at a time, and the answer is True as soon
+    as every class holds one element.  Rows that differ on some columns
+    differ as rows, so True is exact, and False comes only after every
+    column: the test assumes no ring law.  The columns of ``probes``
+    (default: the additive generators S of ``_additive_generators``)
+    go first.  Every y is a sum of elements of S, so in a distributive
+    ring with an additive character, character(x * .) is fixed by its
+    values on S, and a generating character separates the rows within
+    |S| columns.  Zero must be an additive identity, as it is for S.
     """
     eps = ring.eps_num % ring.eps_den
-    rows = eps.astype(np.min_scalar_type(ring.eps_den - 1))[ring.mul_table]
-    return len({row.tobytes() for row in rows}) == ring.size
+    if probes is None:
+        probes = _additive_generators(ring)
+    # An element's class code is the first position of its key among the
+    # sorted keys, so codes stay below |R| and keys below |R| eps_den.
+    codes = np.zeros(ring.size, dtype=np.intp)
+    for y in itertools.chain(probes, range(ring.size)):
+        keys = codes * ring.eps_den + eps[ring.mul_table[:, y]]
+        ordered = np.sort(keys)
+        if (ordered[1:] != ordered[:-1]).all():
+            return True
+        codes = ordered.searchsorted(keys)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +279,7 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     lo = 1
     while lo * m < low:
         hi = lo * m
-        cols = lookup(add, mul[:, None, :m], shift[mul[:, lo:hi, None]])
+        cols = lookup(add, mul[:, None, :m], shift.take(mul[:, lo:hi, None].astype(np.intp)))
         mul[:, hi : hi * m] = cols.reshape(size, -1)
         lo = hi
 
@@ -296,8 +324,14 @@ def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
     idx = np.arange(size, dtype=np.int64)
     ia, ib = idx // s2, idx % s2
 
+    rows = max(1, _CHECK_BLOCK // size)
+
     def combine(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        return t1[ia[:, None], ia[None, :]] * s2 + t2[ib[:, None], ib[None, :]]
+        table = np.empty((size, size), dtype=TABLE_DTYPE)
+        for start in range(0, size, rows):
+            a, b = ia[start : start + rows, None], ib[start : start + rows, None]
+            np.add(t1[a, ia] * s2, t2[b, ib], out=table[start : start + rows])
+        return table
 
     den = math.lcm(r1.eps_den, r2.eps_den)
     eps = (
@@ -319,12 +353,22 @@ def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
 
 
 def _residue_table(op, m: int) -> np.ndarray:
-    """(x op y) mod m on range(m), built in uint32 (4095^2 < 2^32) and
-    reduced in place before the cast to the table type."""
+    """(x op y) mod m on range(m), written into the table a block of rows
+    at a time from uint32 (4095^2 < 2^32).  A sum, below 2m, takes one
+    conditional subtract of m: x - m wraps above x in uint32 unless
+    x >= m.  A product keeps x - (x // m) m, since numpy divides by a
+    scalar several times faster than it takes ``%``."""
     idx = np.arange(m, dtype=np.uint32)
-    table = op.outer(idx, idx)
-    table %= m
-    return table.astype(TABLE_DTYPE)
+    table = np.empty((m, m), dtype=TABLE_DTYPE)
+    rows = max(1, _CHECK_BLOCK // m)
+    for start in range(0, m, rows):
+        block = op.outer(idx[start : start + rows], idx)
+        if op is np.add:
+            np.minimum(block, block - m, out=block)
+        else:
+            block -= block // m * m
+        table[start : start + rows] = block
+    return table
 
 
 def _check_modulus(m: int) -> None:
@@ -369,15 +413,17 @@ def _validate_ring(spec: RingSpec) -> None:
     narrow = eps.astype(np.min_scalar_type(-2 * spec.eps_den))
     rows = max(1, _CHECK_BLOCK // n)
     for start in range(0, n, rows):
-        block = narrow[a[start : start + rows]] - narrow[start : start + rows, None] - narrow
+        block = narrow.take(a[start : start + rows].astype(np.intp))
+        block -= narrow[start : start + rows, None]
+        block -= narrow
         if ((block != 0) & (block != -spec.eps_den)).any():
             raise ConsistencyError("character is not additive")
-    if not verify_generating_character(spec):
+    gens = _additive_generators(spec)
+    if not verify_generating_character(spec, gens):
         raise ConsistencyError("character is not generating")
 
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
         # Axes [x, y, s]; each law is checked over all of S before the next.
-        gens = _additive_generators(spec)
         a_s, m_s = a[:, gens], m_[:, gens]
         if not np.array_equal(a_s[a], a[:, a_s]):
             raise ConsistencyError("addition is not associative")
@@ -521,7 +567,7 @@ def _nilpotent(ring: RingSpec, elems: np.ndarray) -> np.ndarray:
     of them at once."""
     p = elems
     for _ in range(max(1, (ring.size - 1).bit_length())):
-        p = ring.mul_table[p, p]
+        p = lookup(ring.mul_table, p, p)
     return p == ring.zero
 
 

@@ -612,14 +612,19 @@ def enumerate_submodules(space: PhaseSpace, *, doubled: bool = False,
     generators as ``generators``."""
     m = space.ring.size
     width = _width(space, doubled)
-    modules = [
-        Submodule(space, map(tuple, digits(gens, m, width).tolist()), indices,
-                  doubled=doubled, r_closed=True)
-        for level in submodule_levels(space, doubled=doubled, max_elems=max_elems)
-        for batch in level
-        for indices, gens in zip(batch.indices, batch.generators)
-    ]
-    # Indices with coordinate 0 as the slowest digit sort like the tuples.
-    index = np.arange(m**width)
-    tuple_rank = sum(index // m**i % m * m ** (width - 1 - i) for i in range(width))
-    return sorted(modules, key=lambda s: (len(s), np.sort(tuple_rank[s.indices]).tolist()))
+    by_size: dict[int, list[ModuleBatch]] = {}
+    for level in submodule_levels(space, doubled=doubled, max_elems=max_elems):
+        for batch in level:
+            by_size.setdefault(batch.indices.shape[1], []).append(batch)
+    modules = []
+    for _, batches in sorted(by_size.items()):
+        rows = np.concatenate([batch.indices for batch in batches])
+        gens = [g for batch in batches
+                for g in digits(batch.generators, m, width)
+                .reshape(*batch.generators.shape, width).tolist()]
+        # Indices with coordinate 0 as the slowest digit sort like the
+        # tuples; rows of sorted ranks then sort like the element tuples.
+        rank = np.sort(sum(rows // m**i % m * m ** (width - 1 - i) for i in range(width)), axis=1)
+        modules += [Submodule(space, map(tuple, gens[i]), rows[i], doubled=doubled, r_closed=True)
+                    for i in np.lexsort(rank.T[::-1])]
+    return modules

@@ -479,8 +479,7 @@ def _first_broken_law(ring, zs=None):
         ("one is not a multiplicative identity", lambda: all(m[ring.one][x] == x for x in elems)),
         ("character is not additive",
          lambda: all((eps[a[x][y]] - eps[x] - eps[y]) % den == 0 for x, y in pairs)),
-        ("character is not generating",
-         lambda: len({tuple(eps[m[x][y]] % den for y in elems) for x in elems}) == ring.size),
+        ("character is not generating", lambda: _rows_differ(ring)),
         ("addition is not associative",
          lambda: all(a[a[x][y]][z] == a[x][a[y][z]] for x, y, z in triples)),
         ("multiplication is not associative",
@@ -489,6 +488,14 @@ def _first_broken_law(ring, zs=None):
          lambda: all(m[x][a[y][z]] == a[m[x][y]][m[x][z]] for x, y, z in triples)),
     ]
     return next((message for message, holds in laws if not holds()), None)
+
+
+def _rows_differ(ring, columns=None):
+    """Reference: whether the rows character(x * y), y in ``columns``
+    (default: every element), are distinct, as a set of row tuples."""
+    m, eps, den = ring.mul_table.tolist(), ring.eps_num.tolist(), ring.eps_den
+    columns = range(ring.size) if columns is None else columns
+    return len({tuple(eps[m[x][y]] % den for y in columns) for x in range(ring.size)}) == ring.size
 
 
 def _left_nested_sums(ring, gens):
@@ -543,6 +550,61 @@ def test_light_test_raises_exactly_when_a_law_breaks(case, name):
         else:
             with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
                 rings._validate_ring(broken)
+
+
+# Both sides of EXHAUSTIVE_TRIPLE_LIMIT, with |S| from 1 to 9.
+_GENERATING_CASES = [
+    (("zm", 12), 30), (("chain", 2, 3), 30), (("product", ("zm", 4), ("zm", 3)), 30),
+    (("zm", 260), 6), (("chain", 2, 9), 4), (("product", ("chain", 2, 2), ("zm", 65)), 4),
+]
+
+
+@pytest.mark.parametrize("case, tampers", _GENERATING_CASES,
+                         ids=lambda c: repr(c).replace(" ", ""))
+def test_generating_refinement_matches_the_row_reference(case, tampers):
+    ring = _build_ring(case)
+    assert verify_generating_character(ring) and _rows_differ(ring)
+    rng = np.random.default_rng(list(repr(case).encode()))
+    seen = set()
+    for trial in range(tampers):
+        eps = ring.eps_num.copy()
+        if trial % 3 == 0:  # a multiple of the character, additive but maybe not generating
+            eps = eps * int(rng.integers(ring.eps_den)) % ring.eps_den
+        elif trial % 3 == 1:  # a few values moved
+            at = rng.integers(ring.size, size=int(rng.integers(1, 4)))
+            eps[at] = rng.integers(ring.eps_den, size=at.size)
+        else:  # values merged into classes of d
+            eps = eps // int(rng.integers(1, 4))
+        tampered = dataclasses.replace(ring, eps_num=eps)
+        verdict = verify_generating_character(tampered)
+        assert verdict == _rows_differ(tampered)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("case", [("zm", 12), ("chain", 2, 3), ("product", ("zm", 4), ("zm", 3)),
+                                  ("zm", 260), ("chain", 2, 9)],
+                         ids=lambda c: repr(c).replace(" ", ""))
+def test_generating_refinement_walks_past_the_generators(case):
+    # Rows x and x' made to agree on every generator s, by writing
+    # x*s := x'*s; they still differ on other columns, so the walk has
+    # to go past S to tell them apart.  No law is assumed along the way.
+    ring = _build_ring(case)
+    gens = rings._additive_generators(ring)
+    rng = random.Random(repr(case))
+    x, other = rng.sample([v for v in ring.elements() if v not in gens], 2)
+    broken = _tampered(ring, "mul_table", {(x, s): ring.mul(other, s) for s in gens})
+    assert not _rows_differ(broken, gens)
+    assert _rows_differ(broken) and verify_generating_character(broken)
+
+
+def test_doubled_character_is_additive_but_not_generating():
+    # x -> 2x/1020 is a character of Z_1020, but x and x + 510 pair alike.
+    ring = make_zm(1020)
+    doubled = dataclasses.replace(ring, eps_num=ring.eps_num * 2 % ring.eps_den)
+    assert not verify_generating_character(doubled)
+    with pytest.raises(ConsistencyError, match="^character is not generating$"):
+        rings._validate_ring(doubled)
 
 
 @pytest.mark.parametrize(
@@ -600,11 +662,12 @@ def test_additivity_blocks_reach_the_last_row():
                          ids=["chain(4,6)", "Z_4096"])
 def test_largest_builds_stay_compact(build):
     # numpy reports its buffers to tracemalloc; int64 tables and their
-    # temporaries peaked at 512-641 MiB here.
+    # temporaries peaked at 512-641 MiB here.  The two uint16 tables take
+    # 64 MiB, so a build that adds one |R|^2 uint16 temporary fails.
     tracemalloc.start()
     try:
         build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 2**20
+    assert peak < 80 * 2**20
