@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cached_property
 
@@ -429,12 +430,7 @@ def cmd_oracle(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
     fixed = phase_fix(group)
     exact = code_dimension(space, fixed)
     rank = projector_rank(space, fixed)
-    gens = fixed.generators
-    commutation_ok = all(
-        numeric_commutation_check(space, gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(i, len(gens))
-    )
+    commutation_ok = numeric_commutation_check(space, *fixed.generators)
     agree = exact == rank
     report = {
         "abelian_mod_scalars": True,
@@ -645,11 +641,19 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): what is left, and the
+        # flush at exit, go to devnull, and the verdict stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

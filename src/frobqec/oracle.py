@@ -33,8 +33,9 @@ def _monomials(space: PhaseSpace, elements) -> tuple[np.ndarray, np.ndarray]:
     cols[e, i] = scalar * character(form(phase, y)), summed term by term
     over the form's entries (the character is additive)."""
     ring, m, k = space.ring, space.ring.size, space.k
-    shifts = ring.neg_table[np.array([e.shift for e in elements], dtype=np.int64)]
-    phases = np.array([e.phase for e in elements], dtype=np.int64)
+    shifts = np.array([e.shift for e in elements], dtype=np.int64).reshape(-1, space.rank)
+    phases = np.array([e.phase for e in elements], dtype=np.int64).reshape(shifts.shape)
+    shifts = ring.neg_table[shifts]
     perms = np.zeros((len(elements), space.size), dtype=np.int64)
     nums = np.zeros_like(perms)
     for j in reversed(range(space.rank)):
@@ -80,20 +81,28 @@ def weyl_matrix(space: PhaseSpace, e: WeylElement) -> np.ndarray:
     return apply_weyl(space, e, np.eye(space.size, dtype=complex))
 
 
-def numeric_commutation_check(space: PhaseSpace, e1: WeylElement, e2: WeylElement,
+def numeric_commutation_check(space: PhaseSpace, *elements: WeylElement,
                               tol: float = COMMUTATION_TOL) -> bool:
-    """Multiply the operators in both orders, (p1, c1)(p2, c2) =
-    (p2[p1], c1 * c2[p1]), and compare against the exact commutator
-    scalar: the permutations must be equal (else a row holds two unit
-    entries in different columns) and the columns agree up to the scalar.
-    This is the entrywise test of the dense products, in O(|H|)."""
+    """Whether every pair e_i, e_j (i <= j) of the operators commutes as
+    the exact calculus says.  The monomials are built once; each pair is
+    multiplied in both orders, (p1, c1)(p2, c2) = (p2[p1], c1 * c2[p1]),
+    and compared against the exact commutator scalar: the permutations
+    must be equal (else a row holds two unit entries in different
+    columns) and the columns agree up to the scalar.  This is the
+    entrywise test of the dense products, in O(|H|) time a pair and
+    O(n |H|) memory for n operators."""
     if space.size > APPLY_BOUND:
         raise ResourceLimitError(f"carrier size {space.size} exceeds {APPLY_BOUND}")
-    (p1, p2), (c1, c2) = _monomials(space, (e1, e2))
-    if not np.array_equal(p2[p1], p1[p2]):
-        return False
-    scalar = commutator(space, e1, e2).as_complex()
-    return bool(np.max(np.abs(c1 * c2[p1] - scalar * (c2 * c1[p2]))) < tol)
+    perms, cols = _monomials(space, elements)
+    for i, (p1, c1) in enumerate(zip(perms, cols)):
+        p2, c2 = perms[i:], cols[i:]
+        if not np.array_equal(p2[:, p1], p1[p2]):
+            return False
+        scalars = np.array([commutator(space, elements[i], e2).as_complex()
+                            for e2 in elements[i:]])
+        if not np.max(np.abs(c1 * c2[:, p1] - scalars[:, None] * (c2 * c1[p2]))) < tol:
+            return False
+    return True
 
 
 def projector_rank(space: PhaseSpace, s: StabiliserGroup) -> int:

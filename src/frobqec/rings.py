@@ -464,14 +464,21 @@ def _additive_generators(spec: RingSpec) -> list[int]:
     left-nested sums ((0 + s1) + s2) + ..., so the closure does not rely
     on associativity; it does rely on 0 + s = s, checked before the
     call.  |S| is 1 for Z_m and e for chain(m, e).
+
+    The reached set is already closed under the earlier columns, so a
+    new s walks it once with its own column, and only the elements that
+    reaches walk on with every column.
     """
     reached = {spec.zero}
     gens: list[int] = []
     columns: list[list[int]] = []  # columns[i][x] = x + gens[i]
     while len(reached) < spec.size:
-        gens.append(next(x for x in range(spec.size) if x not in reached))
+        # Everything below the last generator was reached before it joined.
+        gens.append(next(x for x in range(gens[-1] if gens else 0, spec.size)
+                         if x not in reached))
         columns.append(spec.add_table[:, gens[-1]].tolist())
-        stack = list(reached)
+        stack = list({columns[-1][x] for x in reached} - reached)
+        reached.update(stack)
         while stack:
             x = stack.pop()
             for column in columns:

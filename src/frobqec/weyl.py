@@ -38,7 +38,6 @@ from .spaces import (
     _check_vector,
     _first_nontrivial,
     _form,
-    form_eval,
     phase_pairing,
 )
 
@@ -119,10 +118,20 @@ class StabiliserGroup:
     others with that label differ from it by the scalars j /
     ``scalar_order``.  ``elements`` is a view in (shift, phase, turn)
     order; ``generators`` are kept as given.
+
+    ``spanning`` holds the positions, in ``generators`` (in ``elements``
+    when there are none), of the generators whose label lies outside the
+    additive span of the earlier labels: ``index_span``'s ``grew`` on the
+    generator labels, which are also the generators that grow the label
+    walk's table.  There are at most log2 |L| of them, and they generate
+    the label set, so by biadditivity every pairing question on the group
+    is a question about them.  The closure and the phase fix pass the
+    walk's positions and its ``pairing`` table; any other constructor
+    leaves both to be derived once, when first read.
     """
 
     def __init__(self, space: PhaseSpace, generators, labels, turns=(), denominator: int = 1,
-                 scalar_order: int = 1):
+                 scalar_order: int = 1, spanning=None, pairing=None):
         self.space, self.generators = space, tuple(generators)
         self.denominator, self.scalar_order = denominator, scalar_order
         keep = np.argsort(labels)
@@ -130,6 +139,11 @@ class StabiliserGroup:
         self.turns = np.asarray(turns, dtype=np.int64)[keep] % denominator
         self.labels.setflags(write=False)
         self.turns.setflags(write=False)
+        # Known values take the place of the cached properties below.
+        if spanning is not None:
+            self.spanning = tuple(spanning)
+        if pairing is not None:
+            self.pairing = pairing
 
     @cached_property
     def elements(self) -> tuple[WeylElement, ...]:
@@ -141,6 +155,35 @@ class StabiliserGroup:
                         + np.arange(z) * (den // z)) % den)
         return tuple(WeylElement(Turn(n, den), tuple(row[:r]), tuple(row[r:]))
                      for row, ns in zip(rows[order].tolist(), nums.tolist()) for n in ns)
+
+    @cached_property
+    def spanning(self) -> tuple[int, ...]:
+        return tuple(_spanning(self.space, _label_rows(self.space, self._generating)))
+
+    @cached_property
+    def pairing(self) -> np.ndarray:
+        """``pairing[i, j]`` = <b_i, a_j> as a numerator over eps_den, for
+        the spanning generators (a_i, b_i) in order."""
+        gens = self._generating
+        return _pair_table(self.space, _label_rows(self.space, [gens[i] for i in self.spanning]))
+
+    @cached_property
+    def _offending(self) -> tuple[WeylElement, WeylElement, Turn] | None:
+        """The first pair i < j of spanning generators, in row-major
+        order, whose omega, ``pairing[i, j] - pairing[j, i]``, is not
+        zero, with that omega; None if there is none."""
+        eps = self.space.ring.eps_den
+        omegas = np.triu((self.pairing - self.pairing.T) % eps)
+        hits = np.argwhere(omegas)
+        if not hits.size:
+            return None
+        i, j = hits[0].tolist()
+        gens = self._generating
+        return gens[self.spanning[i]], gens[self.spanning[j]], Turn(int(omegas[i, j]), eps)
+
+    @property
+    def _generating(self):
+        return self.generators or self.elements
 
     @cached_property
     def scalar_turns(self) -> tuple[Turn, ...]:
@@ -179,6 +222,26 @@ def _mul_many(space: PhaseSpace, den: int, x, y):
     return (x[0] + y[0] + cross) % den, lookup(ring.add_table, x[1], y[1])
 
 
+def _label_rows(space: PhaseSpace, elements) -> np.ndarray:
+    """Joined label rows (a, b) of Weyl elements."""
+    rows = np.array([join_label(e.label) for e in elements], dtype=np.intp)
+    return rows.reshape(-1, 2 * space.rank)
+
+
+def _spanning(space: PhaseSpace, rows: np.ndarray) -> list[int]:
+    """Positions of the rows outside the additive span of the rows
+    before them, as ``index_span`` grows it: at most log2 of the span."""
+    return index_span(space.ring, rows.shape[1], indices_of(rows, space.ring.size))[1]
+
+
+def _pair_table(space: PhaseSpace, rows: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` = <b_i, a_j> for label rows (a_i, b_i), as numerators
+    over eps_den, in one ``_form`` call.  omega of rows i and j is
+    ``out[i, j] - out[j, i]``."""
+    ring, r = space.ring, space.rank
+    return ring.eps_num[_form(space, rows[:, None, r:], rows[None, :, :r])] % ring.eps_den
+
+
 def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
     """Grow a table of one representative element per label, one
     generator at a time.
@@ -186,33 +249,41 @@ def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
     A generator g with label c first lands in the table at its least
     multiple d*c and adds the cosets L + j*c (j < d) as rep(l) * g^j, in
     one batched product.  By Schreier's lemma its scalar g^d * rep(d*c)^-1
-    and its omega with the earlier table-growing generators generate the
-    scalar group Z, cyclic of order the lcm of their denominators.  The
-    partial |L| * |Z| only grows; it is checked against the bound, in
-    Python integers, before each larger table is built.  ``retune`` first
-    moves each turn t to (d*t - scalar).root(d), which zeroes that scalar:
-    D is multiplied by d and the numerator reduced mod D, then divided.
+    and its omega with the other table-growing generators generate the
+    scalar group Z, cyclic of order the lcm of their denominators.
+    ``retune`` first moves each turn t to (d*t - scalar).root(d), which
+    zeroes that scalar: D is multiplied by d and the numerator reduced
+    mod D, then divided.
+
+    The walk reads two kinds of pairing, each from one ``_form`` call:
+    <b, a> of each generator, for the powers of g, and omega between
+    growing generators, from ``pairing``, the ``_pair_table`` of the
+    growing generators.  That table is built once the walk knows which
+    generators grow it, so the partial |L| * |Z| checked against the
+    bound, in Python integers, before each larger table is built leaves
+    the omegas out, and the full |L| * |Z| is checked at the end: no
+    table ever holds more than the bound.
 
     Returns the sorted labels, their turn numerators over D, D, the
-    generators that grew the table, and |Z|.
+    generators that grew the table, their positions among the
+    generators, their pairing table, and |Z|.
     """
     ring, r = space.ring, space.rank
     m, eps = ring.size, ring.eps_den
-    gen_rows = np.array([join_label(g.label) for g in generators],
-                        dtype=np.intp).reshape(-1, 2 * r)
+    gen_rows = _label_rows(space, generators)
+    own = ring.eps_num[_form(space, gen_rows[:, r:], gen_rows[:, :r])] % eps
     coords = np.full((1, 2 * r), ring.zero, dtype=np.intp)
     labels, turns, den, order = indices_of(coords, m), np.zeros(1, dtype=np.int64), eps, 1
-    grown, grown_rows = [], []
-    for g, c in zip(generators, gen_rows):
+    grown, spanning = [], []
+    for i, (g, c) in enumerate(zip(generators, gen_rows)):
         multiple, mults = c, [coords[0]]
         while (at := _find(labels, int(indices_of(multiple, m)))) < 0:
             mults.append(multiple)
             multiple = lookup(ring.add_table, multiple, c)
         d, target, mults = len(mults), int(turns[at]), np.array(mults, dtype=np.intp)
-        # g^j has turn j*t + pairs[j] / eps_den: pairs[j] sums <i*b, a> over i < j.
-        pairs = [0, 0]
-        if d > 1:
-            pairs += np.cumsum(ring.eps_num[_form(space, mults[1:, r:], c[None, :r])]).tolist()
+        # g^j has turn j*t + pairs[j] / eps_den, where pairs[j] sums <i*b, a>
+        # over i < j: <b, a> * j(j-1)/2, as the character is additive.
+        pairs = [int(own[i]) * (j * (j - 1) // 2) % eps for j in range(d + 1)]
         if retune:
             grid, num, dens = den * d, (target - pairs[d] * (den // eps)) % den, []
             g = WeylElement(Turn(num, grid), g.shift, g.phase)
@@ -221,11 +292,6 @@ def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
             num = g.turn.numerator * (grid // g.turn.denominator)
             dens = [Turn(d * num + pairs[d] * (grid // eps) - target * (grid // den), grid)
                     .denominator]
-        if d > 1 and grown:
-            # omega(g, h) is the turn of g*h less that of h*g.
-            h = (0, np.array(grown_rows))
-            omegas = _mul_many(space, eps, (0, c), h)[0] - _mul_many(space, eps, h, (0, c))[0]
-            dens += (eps // np.gcd(omegas, eps)).tolist()
         order = math.lcm(order, *dens)
         if labels.size * d * order > bound:
             raise ResourceLimitError(f"group closure exceeded the bound of {bound} elements")
@@ -240,8 +306,12 @@ def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
             keep = np.argsort(labels)
             labels, turns, coords, den = labels[keep], turns.reshape(-1)[keep], coords[keep], grid
             grown.append(g)
-            grown_rows.append(c)
-    return labels, turns, den, grown, order
+            spanning.append(i)
+    pairing = _pair_table(space, gen_rows[spanning])
+    order = math.lcm(order, *(eps // np.gcd(pairing - pairing.T, eps)).ravel().tolist())
+    if labels.size * order > bound:
+        raise ResourceLimitError(f"group closure exceeded the bound of {bound} elements")
+    return labels, turns, den, grown, spanning, pairing, order
 
 
 def group_closure(space: PhaseSpace, generators,
@@ -257,30 +327,23 @@ def group_closure(space: PhaseSpace, generators,
     for g in gens:
         if len(g.shift) != space.rank or len(g.phase) != space.rank:
             raise InvalidInputError("generator labels do not match the space rank")
-    labels, turns, den, _, order = _label_walk(space, gens, bound, retune=False)
-    return StabiliserGroup(space, gens, labels, turns, den, order)
+    labels, turns, den, _, spanning, pairing, order = _label_walk(space, gens, bound,
+                                                                  retune=False)
+    return StabiliserGroup(space, gens, labels, turns, den, order, spanning, pairing)
 
 
 def is_abelian_mod_scalars(s: StabiliserGroup) -> bool:
     """True iff omega vanishes on the generator labels; biadditivity
     extends that to every pair of elements."""
-    return offending_pair(s) is None
+    return s._offending is None
 
 
 def offending_pair(s: StabiliserGroup) -> tuple[WeylElement, WeylElement, Turn] | None:
-    """First generator pair with a non-trivial commutation scalar.  A
-    generator whose label lies in the span of earlier labels is skipped:
-    by biadditivity and antisymmetry, no first non-zero pair holds it."""
-    gens = s.generators if s.generators else s.elements
-    labels = indices_of([join_label(g.label) for g in gens], s.space.ring.size)
-    _, grew = index_span(s.space.ring, 2 * s.space.rank, labels)
-    kept = [gens[i] for i in grew]
-    for i, g in enumerate(kept):
-        for h in kept[i + 1 :]:
-            value = omega(s.space, g.label, h.label)
-            if not value.is_zero:
-                return (g, h, value)
-    return None
+    """First generator pair with a non-trivial commutation scalar.  Only
+    the spanning generators are compared: by biadditivity and
+    antisymmetry, no first non-zero pair holds a generator whose label
+    lies in the span of earlier labels."""
+    return s._offending
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +371,28 @@ def label_module_of(s: StabiliserGroup) -> Submodule:
 def is_isotropic(space: PhaseSpace, l: Submodule) -> bool:
     """Whether omega vanishes identically on the module.
 
-    Scalar-closed modules reduce to generator pairs of the underlying
-    ring-valued alternating form (scalars sweep through the character);
-    additive-only modules reduce to generator pairs of omega itself.
-    Both forms are alternating, so a generator paired with itself is skipped.
+    Both omega and, on scalar-closed modules, the underlying ring-valued
+    alternating form form(b, a') - form(b', a) (scalars sweep through
+    the character) are biadditive, so they vanish on the module iff they
+    vanish on the pairs of a set generating it, as in
+    ``analysis.submodule_census``: one ``_form`` call over the pairs.
+    That set is the generators, or, past log2 |M| + 1 of them (the
+    elements, if there are none), those outside the span of the earlier
+    ones, at most log2 |M|.
     """
     if not l.doubled:
         raise InvalidInputError("isotropy applies to label modules in the doubled space")
-    pairs = [split_label(space, tuple(g)) for g in (l.generators or l.elements)]
-    for i, (a, b) in enumerate(pairs):
-        for a2, b2 in pairs[i + 1 :]:
-            if l.r_closed:
-                trivial = form_eval(space, b, a2) == form_eval(space, b2, a)
-            else:
-                trivial = omega(space, (a, b), (a2, b2)).is_zero
-            if not trivial:
-                return False
-    return True
+    if l.generators:
+        rows = np.array(l.generators, dtype=np.intp).reshape(-1, 2 * space.rank)
+    else:
+        rows = digits(l.indices, space.ring.size, 2 * space.rank)
+    if len(rows) > len(l).bit_length():
+        rows = rows[_spanning(space, rows)]
+    r = space.rank
+    values = _form(space, rows[:, None, r:], rows[None, :, :r])
+    if not l.r_closed:
+        values = space.ring.eps_num[values] % space.ring.eps_den
+    return bool((values == values.T).all())
 
 
 def stabiliser_of_labels(space: PhaseSpace, l: Submodule,
@@ -348,8 +416,9 @@ def phase_fix(s: StabiliserGroup) -> StabiliserGroup:
 
     This is the label walk of the closure with every generator's turn
     solved so that its Schreier scalar vanishes: with omega trivial on
-    the labels, no scalar is left to generate.  Generators whose labels
-    are already covered are dropped.  Adjusting each generator against
+    the labels, no scalar is left to generate.  Only the spanning
+    generators are walked; the others' labels are already covered, so
+    they are dropped.  Adjusting each generator against
     only its own order can strand scalars in cross relations; solving
     against the table built so far cannot.
     """
@@ -359,12 +428,15 @@ def phase_fix(s: StabiliserGroup) -> StabiliserGroup:
     if not is_abelian_mod_scalars(s):
         raise InvalidInputError("phase fixing needs an abelian-mod-scalars group")
 
-    labels, turns, den, new_gens, order = _label_walk(space, s.generators, len(s), retune=True)
+    gens = s._generating
+    kept = [gens[i] for i in s.spanning]
+    labels, turns, den, new_gens, spanning, pairing, order = _label_walk(space, kept, len(s),
+                                                                         retune=True)
     if order != 1:
         raise ConsistencyError("phase fixing left an irreducible scalar")
     if not np.array_equal(labels, s.labels):
         raise ConsistencyError("phase fixing changed the label set")
-    return StabiliserGroup(space, new_gens, labels, turns, den)
+    return StabiliserGroup(space, new_gens, labels, turns, den, 1, spanning, pairing)
 
 
 def code_dimension(space: PhaseSpace, s: StabiliserGroup) -> int:

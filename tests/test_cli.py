@@ -427,3 +427,23 @@ def test_nil_commands_build_the_nilradical_at_most_once(tmp_path, capsys, monkey
     assert (code, err) == (0, "")
     assert counts["nilradical"] <= 1
     assert counts["_check_ideal"] <= 1
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_a_reader_that_stops_early_gets_no_traceback(tmp_path, flags):
+    # The read end closes before the first write, as when ``| head`` has
+    # what it wants; Z_1039's report is some 40 kB of JSON.
+    path = _write(tmp_path, {"ring": {"family": "zm", "m": 1039}, "space": {"k": 1, "n": 1}})
+    env = dict(os.environ, PYTHONPATH=str(Path(frobqec.__file__).resolve().parent.parent))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobqec.cli", "ring", "--scenario", path, *flags],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 0

@@ -158,6 +158,34 @@ def test_monomial_check_matches_the_dense_reference(request, ring_name, k, n):
     assert len(scalars) > 1  # non-commuting pairs are among them
 
 
+@pytest.mark.parametrize("ring_name, k, n", SMALL_SPACES)
+def test_one_check_over_a_set_is_every_pairwise_check(request, monkeypatch, ring_name, k, n):
+    space = std_space(request.getfixturevalue(ring_name), k, n)
+    rng = np.random.default_rng(20261020)
+    zero = space.zero_vector()
+    sets = []
+    for count in (3, 4, 5, 6) * 3:
+        elements = _seeded_elements(space, rng, count)
+        if len(sets) % 2:
+            # Pure shifts commute with each other.
+            elements = [weyl_element(space, e.turn, e.shift, zero) for e in elements]
+        sets.append(elements)
+
+    def pairwise(elements):
+        return all(numeric_commutation_check(space, elements[i], elements[j])
+                   for i in range(len(elements)) for j in range(i, len(elements)))
+
+    verdicts = []
+    for exact in (oracle.commutator, lambda *args: T0):
+        # Against a zero scalar the check asks for literal commutation, so
+        # a set with a pair of non-trivial omega fails.
+        monkeypatch.setattr(oracle, "commutator", exact)
+        for elements in sets:
+            verdicts.append(pairwise(elements))
+            assert numeric_commutation_check(space, *elements) == verdicts[-1]
+    assert set(verdicts) == {True, False}
+
+
 def _swap_two_entries(perms, cols, row):
     perms[row, [0, 1]] = perms[row, [1, 0]]
 
@@ -343,6 +371,8 @@ def test_oracle_runs_without_the_exact_form_kernel(request, monkeypatch, ring_na
         assert np.max(np.abs(apply_weyl(space, e, basis) - ref)) < 1e-9
     assert [projector_rank(space, s) for s in groups] == dimensions
     assert all(numeric_commutation_check(space, e1, e2) for e1, e2 in pairs)
+    assert len(elements) >= 3 and numeric_commutation_check(space, *elements)
+    assert all(numeric_commutation_check(space, *s.generators) for s in groups)
 
 
 def test_apply_weyl_guards(z2, z4, z4_line):

@@ -6,9 +6,11 @@ closed, and the phase fix has to clear scalars that appear in cross
 relations rather than in any single generator's own order.
 """
 
+import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import frobqec.weyl
@@ -17,11 +19,13 @@ from frobqec import (
     InvalidInputError,
     ResourceLimitError,
     StabiliserGroup,
+    Submodule,
     Turn,
     additive_module,
     code_dimension,
     commutator,
     enumerate_submodules,
+    form_eval,
     group_closure,
     identity_element,
     is_abelian_mod_scalars,
@@ -42,7 +46,9 @@ from frobqec import (
     weyl_inv,
     weyl_mul,
 )
-from frobqec.rings import TURN_ZERO
+from frobqec.rings import TURN_ZERO, indices_of, lookup
+from frobqec.spaces import _form
+from frobqec.weyl import DEFAULT_GROUP_BOUND, WeylElement
 
 from conftest import std_space
 
@@ -250,9 +256,12 @@ def test_offending_pair_matches_all_pairs(request, ring_name, k, n):
                 vec = lambda: tuple(rng.randrange(space.ring.size) for _ in range(space.rank))
                 g = _w(space, rng.choice(turns), vec(), vec())
             gens.append(g)
-        found = offending_pair(StabiliserGroup(space, gens, []))
-        assert found == _first_offending_by_brute_force(space, gens)
-        outcomes.add(found is None)
+        expected = _first_offending_by_brute_force(space, gens)
+        assert offending_pair(StabiliserGroup(space, gens, [])) == expected
+        closed = group_closure(space, gens)
+        assert offending_pair(closed) == expected
+        assert is_abelian_mod_scalars(closed) == (expected is None)
+        outcomes.add(expected is None)
     assert outcomes == {True, False}
 
 
@@ -369,6 +378,125 @@ def test_phase_fix_retunes_every_growing_generator(request, ring_name, n, turns,
     assert set(fixed.elements) == _brute_closure(space, fixed.generators, len(fixed))
 
 
+def _reference_walk(space, generators, bound, retune):
+    """The label walk as it was before it read one pairing table: the
+    pair sums of every generator's multiples from one ``_form`` call each,
+    and omega with the earlier growing generators from two batched
+    products, g*h and h*g, at every growing generator."""
+    ring, r = space.ring, space.rank
+    m, eps = ring.size, ring.eps_den
+    gen_rows = np.array([join_label(g.label) for g in generators],
+                        dtype=np.intp).reshape(-1, 2 * r)
+    coords = np.full((1, 2 * r), ring.zero, dtype=np.intp)
+    labels, turns, den, order = indices_of(coords, m), np.zeros(1, dtype=np.int64), eps, 1
+    grown, grown_rows = [], []
+    for g, c in zip(generators, gen_rows):
+        multiple, mults = c, [coords[0]]
+        while (at := frobqec.weyl._find(labels, int(indices_of(multiple, m)))) < 0:
+            mults.append(multiple)
+            multiple = lookup(ring.add_table, multiple, c)
+        d, target, mults = len(mults), int(turns[at]), np.array(mults, dtype=np.intp)
+        pairs = [0, 0]
+        if d > 1:
+            pairs += np.cumsum(ring.eps_num[_form(space, mults[1:, r:], c[None, :r])]).tolist()
+        if retune:
+            grid, num, dens = den * d, (target - pairs[d] * (den // eps)) % den, []
+            g = WeylElement(Turn(num, grid), g.shift, g.phase)
+        else:
+            grid = math.lcm(den, g.turn.denominator)
+            num = g.turn.numerator * (grid // g.turn.denominator)
+            dens = [Turn(d * num + pairs[d] * (grid // eps) - target * (grid // den), grid)
+                    .denominator]
+        if d > 1 and grown:
+            h = (0, np.array(grown_rows))
+            omegas = (frobqec.weyl._mul_many(space, eps, (0, c), h)[0]
+                      - frobqec.weyl._mul_many(space, eps, h, (0, c))[0])
+            dens += (eps // np.gcd(omegas, eps)).tolist()
+        order = math.lcm(order, *dens)
+        if labels.size * d * order > bound:
+            raise ResourceLimitError("bound")
+        if d > 1:
+            powers = [(j * num + pairs[j] * (grid // eps)) % grid for j in range(d)]
+            reps = (turns[:, None] * (grid // den), coords[:, None])
+            turns, coords = frobqec.weyl._mul_many(space, grid, reps, (np.array(powers), mults))
+            coords = coords.reshape(-1, 2 * r).astype(np.intp)
+            labels = indices_of(coords, m)
+            keep = np.argsort(labels)
+            labels, turns, coords, den = labels[keep], turns.reshape(-1)[keep], coords[keep], grid
+            grown.append(g)
+            grown_rows.append(c)
+    return labels, turns, den, grown, order
+
+
+def _reference_closure(space, gens, bound):
+    labels, turns, den, _, order = _reference_walk(space, gens, bound, retune=False)
+    return StabiliserGroup(space, gens, labels, turns, den, order)
+
+
+def _reference_phase_fix(s):
+    labels, turns, den, gens, order = _reference_walk(s.space, s.generators, len(s), retune=True)
+    assert order == 1 and np.array_equal(labels, s.labels)
+    return StabiliserGroup(s.space, gens, labels, turns, den)
+
+
+def _same_group(s, t):
+    return (np.array_equal(s.labels, t.labels) and np.array_equal(s.turns, t.turns)
+            and (s.denominator, s.scalar_order, s.generators)
+            == (t.denominator, t.scalar_order, t.generators))
+
+
+@pytest.mark.parametrize(
+    "ring_name, k, n",
+    [("z2", 1, 2), ("z4", 1, 2), ("f2u", 1, 1), ("f2u", 2, 1), ("z6", 1, 1), ("z3", 1, 2)],
+)
+def test_walk_matches_the_per_generator_reference(request, ring_name, k, n):
+    space = std_space(request.getfixturevalue(ring_name), k, n)
+    rng = random.Random(f"walk-{ring_name}-{k}-{n}")
+    turns = (T0, Turn(1, 2), Turn(1, 3), Turn(1, 8), Turn(5, 12))
+    vec = lambda: tuple(rng.randrange(space.ring.size) for _ in range(space.rank))
+    cap = 64
+    seen = {"refused": 0, "fixed": 0, "non_abelian": 0, "inside": 0}
+    for _ in range(60):
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            if gens and rng.random() < 0.35:
+                # A label inside the span of the earlier ones, turn redrawn.
+                p = weyl_mul(space, rng.choice(gens), rng.choice(gens))
+                gens.append(_w(space, rng.choice(turns), p.shift, p.phase))
+                seen["inside"] += 1
+            else:
+                phase = space.zero_vector() if rng.random() < 0.4 else vec()
+                gens.append(_w(space, rng.choice(turns), vec(), phase))
+        try:
+            reference = _reference_closure(space, gens, cap)
+        except ResourceLimitError:
+            with pytest.raises(ResourceLimitError):
+                group_closure(space, gens, bound=cap)
+            seen["refused"] += 1
+            continue
+        s = group_closure(space, gens, bound=cap)
+        assert _same_group(s, reference)
+        if s.scalar_free:
+            continue
+        if not is_abelian_mod_scalars(s):
+            seen["non_abelian"] += 1
+            continue
+        assert _same_group(phase_fix(s), _reference_phase_fix(s))
+        seen["fixed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_walk_matches_the_reference_on_a_label_lift(z4):
+    # Every one of the 64 elements of R*(e_i, e_i) is lifted as a
+    # generator; only 3 of them grow the table.
+    space = std_space(z4, 1, 3)
+    diagonal = [tuple(int(i == j) for j in range(3)) * 2 for i in range(3)]
+    s = stabiliser_of_labels(space, submodule_span(space, diagonal, doubled=True))
+    assert len(s.generators) == 64 and len(s.spanning) == 3
+    assert _same_group(s, _reference_closure(space, s.generators, DEFAULT_GROUP_BOUND))
+    assert _same_group(phase_fix(s), _reference_phase_fix(s))
+
+
 def test_closure_refuses_the_bound_before_building(z2):
     # The full Weyl group of Z_2 on 12 sites has 2^25 elements; the walk
     # must see that from the label table long before it is built.  A
@@ -433,6 +561,47 @@ def test_isotropy_r_closed_branch(z4_line):
     assert not is_isotropic(
         z4_line, submodule_span(z4_line, [(1, 0), (0, 1)], doubled=True)
     )
+
+
+def _isotropic_by_pairs(space, l):
+    """Reference: every pair of generators (of elements, if there are
+    none), by scalar ``form_eval`` or ``omega`` calls."""
+    pairs = [split_label(space, tuple(g)) for g in (l.generators or l.elements)]
+    for i, (a, b) in enumerate(pairs):
+        for a2, b2 in pairs[i + 1 :]:
+            if l.r_closed:
+                trivial = form_eval(space, b, a2) == form_eval(space, b2, a)
+            else:
+                trivial = omega(space, (a, b), (a2, b2)).is_zero
+            if not trivial:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("ring_name, k, n", [("z4", 1, 1), ("f2u", 1, 1), ("z2", 1, 2),
+                                             ("f2u", 2, 1), ("z6", 1, 1)])
+def test_isotropy_matches_the_pairwise_reference(request, ring_name, k, n):
+    space = std_space(request.getfixturevalue(ring_name), k, n)
+    rng = random.Random(f"isotropy-{ring_name}-{k}-{n}")
+    vec = lambda: tuple(rng.randrange(space.ring.size) for _ in range(2 * space.rank))
+    verdicts = set()
+    for _ in range(30):
+        gens = [vec() for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 3)):
+            gens.append(space.add_vec(rng.choice(gens), rng.choice(gens)))
+        for build in (submodule_span, additive_module):
+            module = build(space, gens, doubled=True)
+            # As given, with every element as a generator (past log2 |M| + 1
+            # of them, so reduced to a spanning set), and with none.
+            every = Submodule(space, module.elements, module.indices, doubled=True,
+                              r_closed=module.r_closed)
+            bare = Submodule(space, (), module.indices, doubled=True, r_closed=module.r_closed)
+            expected = _isotropic_by_pairs(space, module)
+            assert _isotropic_by_pairs(space, bare) == expected
+            for l in (module, every, bare):
+                assert is_isotropic(space, l) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_isotropy_rejects_plain_modules(z4_line):
