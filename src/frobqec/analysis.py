@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import (Ideal, Turn, _require_nil, digits, indices_of, lookup,
+from .rings import (Ideal, Turn, _require_nil, digits, index_span, indices_of, lookup,
                     nilpotency_index, nilradical)
 from .spaces import (
     BLOCK,
@@ -99,13 +99,16 @@ class ProtectionReport:
 
 def nilpotent_code(space: PhaseSpace, ideal: Ideal) -> Submodule:
     """The submodule swept out by the ideal: all ideal multiples of the
-    carrier, spanned by ideal multiples of the basis vectors."""
+    carrier, spanned by x e_j for the basis vectors e_j and the x of a set
+    generating (I, +), at most log2 |I| of them: I is closed under
+    scalars, so their R-span is I e_j."""
     if ideal.ring is not space.ring:
         raise InvalidInputError("ideal belongs to a different ring")
     _require_nil(ideal)
-    zero, rank = space.ring.zero, space.rank
-    gens = [tuple(x if i == j else zero for i in range(rank))
-            for x in ideal.elements if x != zero for j in range(rank)]
+    ring, rank = space.ring, space.rank
+    additive = [ideal.elements[i] for i in index_span(ring, 1, ideal.elements)[1]]
+    gens = [tuple(x if i == j else ring.zero for i in range(rank))
+            for x in additive for j in range(rank)]
     return submodule_span(space, gens)
 
 

@@ -263,7 +263,8 @@ class Submodule:
     The elements are held once, as ``indices``, the sorted read-only
     array of their distinct indices (as in ``rings.digits``); ``rows`` and
     ``elements`` are derived views in tuple order.  ``generators`` are
-    kept as given; none means the elements generate.
+    kept as given, and may be empty; ``spanning`` is the set that every
+    pairing test reads.
 
     Label sets stripped from operator groups are only additively closed
     over non-cyclic rings, so the scalar-closure flag is tracked rather
@@ -290,6 +291,23 @@ class Submodule:
     def elements(self) -> tuple[Vector, ...]:
         """The elements as sorted coordinate tuples, for reports and tests."""
         return tuple(map(tuple, self.rows.tolist()))
+
+    @cached_property
+    def spanning(self) -> np.ndarray:
+        """Read-only coordinate rows of a set generating the module, over
+        R when ``r_closed`` and over Z otherwise: the generators, or the
+        elements if there are none, and past log2 |M| + 1 of them only
+        those outside the additive span of the rows before them, as
+        ``index_span`` grows it, at most log2 |M|.  Those keep the
+        additive span, and so the R-span, of all of them."""
+        m, width = self.space.ring.size, _width(self.space, self.doubled)
+        items = (indices_of(np.reshape(self.generators, (-1, width)), m) if self.generators
+                 else self.indices)
+        if items.size > len(self).bit_length():
+            items = items[index_span(self.space.ring, width, items)[1]]
+        rows = digits(items, m, width)
+        rows.setflags(write=False)
+        return rows
 
     def __contains__(self, v) -> bool:
         m = self.space.ring.size
@@ -365,63 +383,45 @@ def _check_vector(space: PhaseSpace, v: Vector, width: int | None = None) -> Non
             raise InvalidInputError(f"coordinate {c!r} outside the ring carrier")
 
 
-def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
-    """All of H pairing trivially with the code.
+def _trivial(space: PhaseSpace, values: np.ndarray, r_closed: bool) -> np.ndarray:
+    """Where form values on a set generating a module stay trivial on the
+    whole module: where they are zero if it is scalar-closed, where their
+    turn is zero if not.
 
-    For a scalar-closed code C = sum R g over its generators g, v is in
-    the complement iff form(v, g) = 0 for every generator.  The form is
-    bilinear over a commutative ring, so eps(form(v, r g)) = eps(r
-    form(v, g)), and that vanishes for every r iff form(v, g) = 0,
-    because the character is generating.  Turns alone would not do: a
-    vector can pair trivially with g yet not with r g.  An additive-only
-    code has no scalars to sweep, so v is tested by its turns, and its
-    complement is itself only additively closed.  The turn of form(v, .)
-    is additive, so trivial turns on a set generating (C, +) are trivial
-    on all of C: v is tested against the greedy generating set that
-    ``index_span`` picks from the elements, at most log2 |C| of them.
+    The form is bilinear over a commutative ring, so eps(form(v, r g)) =
+    eps(r form(v, g)), and over every scalar r that vanishes iff form(v, g)
+    = 0, because the character is generating; so on a scalar-closed module
+    the values themselves must vanish, and a zero turn alone would not do.
+    An additive module has no scalars to sweep, and the turn is additive,
+    so a zero turn on a set generating (M, +) is zero on all of M.
     """
+    ring = space.ring
+    return values == ring.zero if r_closed else ring.eps_num[values] % ring.eps_den == 0
+
+
+def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
+    """All of H pairing trivially with the code: the v whose form values
+    on ``code.spanning`` are ``_trivial``.  The complement is
+    scalar-closed iff the code is."""
     if code.doubled:
         raise InvalidInputError("orthogonal complements live in the plain space")
-    if code.r_closed:
-        probes = _generator_rows(code)
-    else:
-        _, grew = index_span(space.ring, space.rank, code.indices)
-        probes = digits(code.indices[grew], space.ring.size, space.rank)
-    ring = space.ring
+    probes = code.spanning
     kept = []
     chunk = max(1, BLOCK // max(1, len(probes)))
     coords = space.coords
     for start in range(0, space.size, chunk):
         values = form_many(space, coords[start : start + chunk], probes)
-        if code.r_closed:
-            trivial = values == ring.zero
-        else:
-            trivial = ring.eps_num[values] % ring.eps_den == 0
-        kept.append(start + np.flatnonzero(trivial.all(axis=1)))
+        kept.append(start + np.flatnonzero(_trivial(space, values, code.r_closed).all(axis=1)))
     return Submodule(space, (), np.concatenate(kept), doubled=False, r_closed=code.r_closed)
 
 
-def _generator_rows(code: Submodule) -> np.ndarray:
-    """Coordinate rows of the generators, or of the elements if none."""
-    gens = np.asarray(code.generators, dtype=np.int64)
-    return gens.reshape(len(gens), -1) if code.generators else code.rows
-
-
 def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:
-    """Whether every pair of code vectors pairs trivially.
-
-    For a scalar-closed code this forces the form itself to vanish on
-    generator pairs (sweeping scalars through the character leaves no
-    slack); for an additive-only set the turns just have to vanish.
-    """
+    """Whether every pair of code vectors pairs trivially: the form
+    values on pairs of ``code.spanning`` are ``_trivial``."""
     if code.doubled:
         raise InvalidInputError("self-orthogonality applies to codes in the plain space")
-    arr = _generator_rows(code)
-    values = form_many(space, arr, arr)
-    if code.r_closed:
-        return bool((values == space.ring.zero).all())
-    nums = space.ring.eps_num[values] % space.ring.eps_den
-    return bool((nums == 0).all())
+    rows = code.spanning
+    return bool(_trivial(space, form_many(space, rows, rows), code.r_closed).all())
 
 
 class ModuleBatch(NamedTuple):

@@ -38,6 +38,7 @@ from .spaces import (
     _check_vector,
     _first_nontrivial,
     _form,
+    _trivial,
     phase_pairing,
 )
 
@@ -158,7 +159,8 @@ class StabiliserGroup:
 
     @cached_property
     def spanning(self) -> tuple[int, ...]:
-        return tuple(_spanning(self.space, _label_rows(self.space, self._generating)))
+        ring, rows = self.space.ring, _label_rows(self.space, self._generating)
+        return tuple(index_span(ring, rows.shape[1], indices_of(rows, ring.size))[1])
 
     @cached_property
     def pairing(self) -> np.ndarray:
@@ -226,12 +228,6 @@ def _label_rows(space: PhaseSpace, elements) -> np.ndarray:
     """Joined label rows (a, b) of Weyl elements."""
     rows = np.array([join_label(e.label) for e in elements], dtype=np.intp)
     return rows.reshape(-1, 2 * space.rank)
-
-
-def _spanning(space: PhaseSpace, rows: np.ndarray) -> list[int]:
-    """Positions of the rows outside the additive span of the rows
-    before them, as ``index_span`` grows it: at most log2 of the span."""
-    return index_span(space.ring, rows.shape[1], indices_of(rows, space.ring.size))[1]
 
 
 def _pair_table(space: PhaseSpace, rows: np.ndarray) -> np.ndarray:
@@ -371,28 +367,18 @@ def label_module_of(s: StabiliserGroup) -> Submodule:
 def is_isotropic(space: PhaseSpace, l: Submodule) -> bool:
     """Whether omega vanishes identically on the module.
 
-    Both omega and, on scalar-closed modules, the underlying ring-valued
-    alternating form form(b, a') - form(b', a) (scalars sweep through
-    the character) are biadditive, so they vanish on the module iff they
-    vanish on the pairs of a set generating it, as in
-    ``analysis.submodule_census``: one ``_form`` call over the pairs.
-    That set is the generators, or, past log2 |M| + 1 of them (the
-    elements, if there are none), those outside the span of the earlier
-    ones, at most log2 |M|.
+    omega((a, b), (a', b')) is the turn of form(b, a') - form(b', a), a
+    difference of two forms, so it is biadditive, and on a scalar-closed
+    module it vanishes iff that ring value does (``spaces._trivial``):
+    one ``_form`` call over the pairs of ``l.spanning`` settles it, as in
+    ``analysis.submodule_census``.
     """
     if not l.doubled:
         raise InvalidInputError("isotropy applies to label modules in the doubled space")
-    if l.generators:
-        rows = np.array(l.generators, dtype=np.intp).reshape(-1, 2 * space.rank)
-    else:
-        rows = digits(l.indices, space.ring.size, 2 * space.rank)
-    if len(rows) > len(l).bit_length():
-        rows = rows[_spanning(space, rows)]
-    r = space.rank
+    ring, rows, r = space.ring, l.spanning, space.rank
     values = _form(space, rows[:, None, r:], rows[None, :, :r])
-    if not l.r_closed:
-        values = space.ring.eps_num[values] % space.ring.eps_den
-    return bool((values == values.T).all())
+    return bool(_trivial(space, lookup(ring.add_table, values, ring.neg_table[values.T]),
+                         l.r_closed).all())
 
 
 def stabiliser_of_labels(space: PhaseSpace, l: Submodule,

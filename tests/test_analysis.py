@@ -219,6 +219,23 @@ def test_nilpotent_code_sweeps_the_ideal(f2u_plane):
     assert all(all(c in (0, U) for c in v) for v in code.elements)
 
 
+@pytest.mark.parametrize("ring, rank", [
+    (make_chain_ring(2, 2), 2), (make_chain_ring(2, 4), 2), (make_chain_ring(4, 2), 2),
+    (make_zm(16), 3), (make_product(make_chain_ring(2, 3), make_zm(3)), 1)],
+    ids=["f2u", "chain24", "chain42", "z16", "chain23xz3"])
+def test_nilpotent_code_spans_additive_generators_of_the_ideal(ring, rank):
+    # The code equals the span of every ideal element times every basis
+    # vector, from at most log2 |I| generators per basis vector.
+    space = std_space(ring, 1, rank)
+    for x in nilradical(ring).elements:
+        ideal = ideal_span(ring, [x])
+        code = nilpotent_code(space, ideal)
+        every = submodule_span(space, [tuple(y if i == j else ring.zero for i in range(rank))
+                                       for y in ideal.elements for j in range(rank)])
+        assert code == every and code.r_closed
+        assert len(code.generators) <= np.log2(len(ideal)) * rank
+
+
 def test_protection_chain22(f2u_plane):
     report = check_nilpotent_protection(f2u_plane, ideal_span(f2u_plane.ring, [U]))
     assert report.passed

@@ -19,6 +19,7 @@ from frobqec import (
     Turn,
     additive_module,
     ambient_bound,
+    css_verdict,
     enumerate_submodules,
     form_eval,
     identity_form,
@@ -534,9 +535,17 @@ def test_additive_orthogonal_matches_the_element_turn_test():
 
 
 def test_additive_orthogonal_probes_a_generating_set(monkeypatch):
+    # An additive code, a complement and a CSS split part: the last two
+    # are scalar-closed modules held with no generators.  Each is probed
+    # through at most log2 |M| rows, not |M|, and its verdicts match those
+    # of the same module built from its generators.
     ring = make_zm(256)
     space = std_space(ring, 1, 2)
     code = additive_module(space, [(1, 2), (0, 16)])
+    line = submodule_span(space, [(16, 0)])
+    labels = submodule_span(space, [(1, 0, 0, 0), (0, 16, 0, 0)], doubled=True)
+    cases = [(code, None), (orthogonal(space, line), [(16, 0), (0, 1)]),
+             (css_verdict(space, labels).split[0], [(1, 0), (0, 16)])]
     probes = []
     original = spaces.form_many
 
@@ -544,8 +553,19 @@ def test_additive_orthogonal_probes_a_generating_set(monkeypatch):
         probes.append(len(cols))
         return original(space, rows, cols)
 
-    monkeypatch.setattr(spaces, "form_many", recording)
-    perp = orthogonal(space, code)
-    # At most log2 |C| probes, not |C|.
-    assert len(code) == 4096 and len(perp) == 16
-    assert probes and max(probes) <= 12
+    for module, gens in cases:
+        assert len(module) == 4096
+        monkeypatch.setattr(spaces, "form_many", recording)
+        perp, self_orth = orthogonal(space, module), is_self_orthogonal(space, module)
+        monkeypatch.setattr(spaces, "form_many", original)
+        assert probes and max(probes) <= 12
+        probes.clear()
+        if gens is None:
+            assert len(perp) == 16 and not perp.r_closed
+            continue
+        given = submodule_span(space, gens)
+        assert not module.generators and np.array_equal(module.indices, given.indices)
+        assert np.array_equal(perp.indices, orthogonal(space, given).indices) and perp.r_closed
+        assert self_orth == is_self_orthogonal(space, given)
+    # The complement of the complement is the line again.
+    assert orthogonal(space, cases[1][0]) == line
