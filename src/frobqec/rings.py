@@ -13,8 +13,10 @@ intp index) when 2-D, and through ``take`` of a block cast to intp
 when 1-D.
 The constructors verify the ring axioms and the generating property of
 the character at build time, so downstream code never re-proves them.
-Above 256 elements no build or check holds an |R|^2 temporary beside
-the tables.
+Each table is checked in one walk over pairs of mirror tiles, which
+range-checks both tiles, compares them, and checks the character's
+additivity on the upper one.  Above 256 elements no build or check
+holds an |R|^2 temporary beside the tables.
 
 Three families are provided: integers mod m, chain rings Z_m[u]/(u^e)
 with the top-coefficient character, and binary products.  Every family
@@ -26,6 +28,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,11 +47,12 @@ TABLE_DTYPE = np.min_scalar_type(MAX_RING_SIZE - 1)
 EXHAUSTIVE_TRIPLE_LIMIT = 256
 _TRIPLE_SAMPLES = 1000
 _TRIPLE_SEED = 20260822
-# Table builds and the character's additivity check run on blocks of at
-# most this many table entries, and the commutativity checks on square
-# tiles of this many, so no build or check needs an |R|^2 temporary or
-# reads a whole table in transposed order.
+# Table builds that go by rows take blocks of at most this many entries,
+# so no build needs an |R|^2 temporary.
 _CHECK_BLOCK = 1 << 16
+# The checks walk each table in square tiles of this side, paired with
+# their mirror tiles, so no check reads a whole table in transposed order.
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -324,13 +328,12 @@ def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
     idx = np.arange(size, dtype=np.int64)
     ia, ib = idx // s2, idx % s2
 
-    rows = max(1, _CHECK_BLOCK // size)
-
     def combine(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        # table[(a, b), (c, d)] = t1[a, c] s2 + t2[b, d], on the axes [a, b, c, d].
         table = np.empty((size, size), dtype=TABLE_DTYPE)
-        for start in range(0, size, rows):
-            a, b = ia[start : start + rows, None], ib[start : start + rows, None]
-            np.add(t1[a, ia] * s2, t2[b, ib], out=table[start : start + rows])
+        view = table.reshape(r1.size, s2, r1.size, s2)
+        np.multiply(t1[:, None, :, None], s2, out=view)
+        view += t2[None, :, None, :]
         return table
 
     den = math.lcm(r1.eps_den, r2.eps_den)
@@ -354,20 +357,23 @@ def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
 
 def _residue_table(op, m: int) -> np.ndarray:
     """(x op y) mod m on range(m), written into the table a block of rows
-    at a time from uint32 (4095^2 < 2^32).  A sum, below 2m, takes one
-    conditional subtract of m: x - m wraps above x in uint32 unless
-    x >= m.  A product keeps x - (x // m) m, since numpy divides by a
-    scalar several times faster than it takes ``%``."""
+    at a time.  The first block is reduced from uint32 (4095^2 < 2^32)
+    by x - (x // m) m, since numpy divides by a scalar several times
+    faster than it takes ``%``.  Each later block is the one before it
+    plus a row offset: (x + r) + y = (x + y) + r and (x + r) y = xy + ry,
+    for r rows.  Both terms are below m, so the sum is written in the
+    table's own dtype and takes one conditional subtract of m: s - m
+    wraps above s unless s >= m."""
     idx = np.arange(m, dtype=np.uint32)
     table = np.empty((m, m), dtype=TABLE_DTYPE)
     rows = max(1, _CHECK_BLOCK // m)
-    for start in range(0, m, rows):
-        block = op.outer(idx[start : start + rows], idx)
-        if op is np.add:
-            np.minimum(block, block - m, out=block)
-        else:
-            block -= block // m * m
-        table[start : start + rows] = block
+    first = op.outer(idx[:rows], idx)
+    table[:rows] = first - first // m * m
+    step = rows if op is np.add else (idx * rows % m).astype(TABLE_DTYPE)
+    for start in range(rows, m, rows):
+        block = table[start : start + rows]
+        np.add(table[start - rows : start - rows + len(block)], step, out=block)
+        np.minimum(block, block - m, out=block)
     return table
 
 
@@ -381,6 +387,18 @@ def _check_modulus(m: int) -> None:
 def _validate_ring(spec: RingSpec) -> None:
     """Exhaustive construction-time verification.  Failures raise
     ConsistencyError: they mean the builder is wrong, not the caller.
+    The first law that fails, in the order of the checks below, is the
+    one reported.
+
+    Each table is read in one walk over its tile pairs (i <= j): the
+    upper tile is compared with a contiguous copy of its mirror, both
+    are range-checked before anything is gathered through them, and the
+    character's additivity is checked on the upper tile only.  That
+    half is enough: once a table is proven symmetric, each lower tile
+    holds the transposed values of its upper tile, and eps(y) + eps(x)
+    = eps(x) + eps(y); an asymmetric table fails commutativity, which
+    is reported first.  So every pairwise law is still checked on all
+    |R|^2 pairs, from half the reads.
 
     Up to ``EXHAUSTIVE_TRIPLE_LIMIT`` elements the triple laws are proven
     on additive generators (Light's test; Clifford and Preston, The
@@ -394,30 +412,26 @@ def _validate_ring(spec: RingSpec) -> None:
     idx = np.arange(n)
     a, m_ = spec.add_table, spec.mul_table
     for table in (a, m_):
-        if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
+        # An unsigned table holds no negative entry; the walk checks the top.
+        if table.shape != (n, n) or table.dtype != TABLE_DTYPE:
             raise ConsistencyError("table shape or range is off")
-    if not _is_symmetric(a):
+    eps = spec.eps_num % spec.eps_den
+    add_symmetric, additive = _walk_tiles(a, eps, spec.eps_den)
+    mul_symmetric, _ = _walk_tiles(m_)
+    if not add_symmetric:
         raise ConsistencyError("addition is not commutative")
     if not np.array_equal(a[spec.zero], idx):
         raise ConsistencyError("zero is not an additive identity")
     if not np.array_equal(a[idx, spec.neg_table], np.full(n, spec.zero)):
         raise ConsistencyError("negation table is wrong")
-    if not _is_symmetric(m_):
+    if not mul_symmetric:
         raise ConsistencyError("multiplication is not commutative")
     if not np.array_equal(m_[spec.one], idx):
         raise ConsistencyError("one is not a multiplicative identity")
-    eps = spec.eps_num % spec.eps_den
     if not np.array_equal(eps, spec.eps_num):
         raise ConsistencyError("character numerators are not reduced mod the denominator")
-    # eps(x+y) - eps(x) - eps(y) is in (-2 den, den): 0 mod den iff 0 or -den.
-    narrow = eps.astype(np.min_scalar_type(-2 * spec.eps_den))
-    rows = max(1, _CHECK_BLOCK // n)
-    for start in range(0, n, rows):
-        block = narrow.take(a[start : start + rows].astype(np.intp))
-        block -= narrow[start : start + rows, None]
-        block -= narrow
-        if ((block != 0) & (block != -spec.eps_den)).any():
-            raise ConsistencyError("character is not additive")
+    if not additive:
+        raise ConsistencyError("character is not additive")
     gens = _additive_generators(spec)
     if not verify_generating_character(spec, gens):
         raise ConsistencyError("character is not generating")
@@ -432,8 +446,7 @@ def _validate_ring(spec: RingSpec) -> None:
         if not np.array_equal(m_[:, a_s], lookup(a, m_[:, :, None], m_s[:, None, :])):
             raise ConsistencyError("multiplication does not distribute")
     else:
-        rng = np.random.default_rng(_TRIPLE_SEED)
-        x, y, z = rng.integers(0, n, size=(3, _TRIPLE_SAMPLES))
+        x, y, z = _sampled_triples(n)
         if not np.array_equal(a[a[x, y], z], a[x, a[y, z]]):
             raise ConsistencyError("addition is not associative")
         if not np.array_equal(m_[m_[x, y], z], m_[x, m_[y, z]]):
@@ -445,15 +458,41 @@ def _validate_ring(spec: RingSpec) -> None:
         table.setflags(write=False)
 
 
-def _is_symmetric(table: np.ndarray) -> bool:
-    """``table == table.T``, tile by tile against the mirror tile: a
-    tile's transposed read stays in cache where a whole table's does not."""
-    side = math.isqrt(_CHECK_BLOCK)
-    starts = range(0, len(table), side)
-    return all(
-        np.array_equal(table[i : i + side, j : j + side], table[j : j + side, i : i + side].T)
-        for i in starts for j in starts if j >= i
-    )
+def _walk_tiles(table: np.ndarray, eps=None, den: int = 1) -> tuple[bool, bool]:
+    """(symmetric, additive) for one table, from one walk over its tile
+    pairs (i <= j) as ``_validate_ring`` describes.  ``additive`` says
+    whether the character with reduced numerators ``eps`` over ``den``
+    is additive on the table; it is False without ``eps``, and moot once
+    the table is not symmetric, after which only the range is checked.
+    An entry out of range raises at once.  eps(x+y) - eps(x) - eps(y) is
+    in (-2 den, den), so it is 0 mod den iff it is 0 or -den."""
+    n = len(table)
+    symmetric, additive = True, eps is not None
+    if additive:
+        narrow = eps.astype(np.min_scalar_type(-2 * den))
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            upper = table[i : i + _TILE, j : j + _TILE]
+            mirror = table[j : j + _TILE, i : i + _TILE].T.copy()
+            same = symmetric and np.array_equal(upper, mirror)
+            if upper.max() >= n or (not same and mirror.max() >= n):
+                raise ConsistencyError("table shape or range is off")
+            symmetric = same
+            if symmetric and additive:
+                block = narrow.take(upper.astype(np.intp))
+                block -= narrow[i : i + _TILE, None]
+                block -= narrow[j : j + _TILE]
+                additive = not ((block != 0) & (block != -den)).any()
+    return symmetric, additive
+
+
+def _sampled_triples(n: int) -> np.ndarray:
+    """The seeded triples (x, y, z), as rows x, y and z, on which the
+    triple laws of a ring of n elements are checked past
+    ``EXHAUSTIVE_TRIPLE_LIMIT``: stdlib random bytes read as uint32
+    words, each reduced mod n."""
+    words = random.Random(_TRIPLE_SEED).randbytes(12 * _TRIPLE_SAMPLES)
+    return (np.frombuffer(words, "<u4") % n).astype(np.intp).reshape(3, _TRIPLE_SAMPLES)
 
 
 def _additive_generators(spec: RingSpec) -> list[int]:

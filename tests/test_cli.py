@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import frobqec
+import frobqec.analysis
+import frobqec.cli
 import frobqec.oracle
+import frobqec.weyl
 from frobqec import ConsistencyError, DiagnosticError, InvalidInputError
 from frobqec.cli import main, ring_from_doc, scenario_from_doc
 
@@ -157,6 +160,25 @@ def test_stabiliser_command_mixed_chain(tmp_path, capsys):
     assert "group order: 8" in out
     assert "code dimension: 4" in out
     assert "css: non_css" in out
+
+
+def test_stabiliser_command_tests_isotropy_once(tmp_path, capsys, monkeypatch):
+    # The Z_4 group is abelian, so its label module is isotropic, and
+    # the precondition of css_verdict is the one test of it.
+    calls = []
+    real = frobqec.weyl.is_isotropic
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (frobqec.weyl, frobqec.analysis, frobqec.cli):
+        if hasattr(module, "is_isotropic"):
+            monkeypatch.setattr(module, "is_isotropic", counted)
+    code, out, _ = _run(capsys, "stabiliser", "--scenario", _write(tmp_path, Z4_SCENARIO))
+    assert code == 0
+    assert "isotropic: yes" in out and "css: css" in out
+    assert len(calls) == 1
 
 
 def test_stabiliser_command_anticommuting(tmp_path, capsys):

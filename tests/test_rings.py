@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -623,33 +627,103 @@ def test_additive_generators_reach_every_element(case, count):
 
 @pytest.mark.parametrize("name, message", [("add_table", "addition is not commutative"),
                                            ("mul_table", "multiplication is not commutative")])
-@pytest.mark.parametrize("entry", [(1019, 769), (300, 10)], ids=["short-tile", "off-diagonal"])
-def test_commutativity_tiles_reach_every_entry(name, message, entry):
-    # Z_1020 has tiles of 256 rows, the last of 252: (1019, 769) lies in
-    # the short corner tile, (300, 10) below the diagonal tiles.
-    ring = make_zm(1020)
+@pytest.mark.parametrize(
+    "m, entry",
+    [(1020, (1019, 769)), (1020, (300, 10)), (1020, (1019, 1000)), (1155, (1154, 1153))],
+    ids=["short-tile", "off-diagonal", "short-corner", "Z1155-short-corner"],
+)
+def test_commutativity_tiles_reach_every_entry(name, message, m, entry):
+    # Z_1020 has tiles of 128 rows, the last of 124: (1019, 769) lies in
+    # a short tile below the diagonal, (1019, 1000) in the short corner
+    # tile, (300, 10) below the diagonal tiles.  Z_1155's last tile has 3.
+    ring = make_zm(m)
     table = getattr(ring, name).copy()
     table[entry] = (table[entry] + 1) % ring.size
     with pytest.raises(ConsistencyError, match=message):
         rings._validate_ring(dataclasses.replace(ring, **{name: table}))
 
 
+@pytest.mark.parametrize("name", ["add_table", "mul_table"])
+def test_range_is_checked_in_the_mirror_tile(name):
+    # Out of range below the diagonal only: the pair is also asymmetric,
+    # but the range comes first, before any value is gathered through it.
+    ring = make_zm(1020)
+    table = getattr(ring, name).copy()
+    table[300, 10] = ring.size
+    with pytest.raises(ConsistencyError, match="^table shape or range is off$"):
+        rings._validate_ring(dataclasses.replace(ring, **{name: table}))
+
+
+def test_additivity_read_on_the_upper_tile_covers_the_lower_one():
+    # (300, 10) and its mirror lie off the diagonal tiles; the additivity
+    # check reads only the upper one, which the symmetric tamper reaches.
+    ring = make_zm(1020)
+    broken = _tampered(ring, "add_table", {(300, 10): ring.add(300, 10) + 1})
+    with pytest.raises(ConsistencyError, match="^character is not additive$"):
+        rings._validate_ring(broken)
+
+
+@pytest.mark.parametrize("name", ["add_table", "mul_table"])
+def test_tile_walk_reports_the_first_broken_pairwise_law(name):
+    # Z_300 has three tiles a side.  One entry, or one entry and its
+    # mirror, takes a seeded value, out of range half the time; rows 0 and
+    # 1 are hit often, so the identity laws compete with the others.
+    ring = make_zm(300)
+    rng = random.Random(f"tile walk {name}")
+    table = getattr(ring, name)
+    seen = set()
+    for _ in range(16):
+        x, y = rng.choice([0, 1, rng.randrange(ring.size)]), rng.randrange(ring.size)
+        value = rng.choice([ring.size, (int(table[x, y]) + rng.randrange(1, ring.size)) % ring.size])
+        if rng.random() < 0.5:
+            broken = _tampered(ring, name, {(x, y): value})
+        else:
+            changed = table.copy()
+            changed[x, y] = value
+            broken = dataclasses.replace(ring, **{name: changed})
+        if value == ring.size:
+            message = "table shape or range is off"
+        else:
+            message = _first_broken_law(broken, zs=())
+        seen.add(message)
+        if message is None:
+            # Only a triple law can fail now, and only on a sampled triple.
+            try:
+                rings._validate_ring(broken)
+            except ConsistencyError as exc:
+                assert str(exc) in _TRIPLE_LAWS
+        else:
+            with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+                rings._validate_ring(broken)
+    assert len(seen) >= 4
+
+
 def test_sampled_triples_catch_one_broken_entry():
     # Past 256 elements only seeded triples are checked: break the
     # product of the first sampled pair that avoids 0 and 1.
     ring = make_zm(1020)
-    xs, ys, zs = np.random.default_rng(rings._TRIPLE_SEED).integers(
-        0, ring.size, size=(3, rings._TRIPLE_SAMPLES)
-    )
+    xs, ys, zs = rings._sampled_triples(ring.size)
     x, y = next((x, y) for x, y, z in zip(xs, ys, zs) if min(x, y, z) > 1 and x != y)
     broken = _tampered(ring, "mul_table", {(x, y): ring.add(ring.mul(x, y), 1)})
     with pytest.raises(ConsistencyError, match="associative|distribute"):
         rings._validate_ring(broken)
 
 
+def test_builds_leave_numpy_random_unloaded():
+    # The sampled triples come from stdlib random: numpy.random would add
+    # about 14 ms and 6 MB to a fresh process that builds one large ring.
+    code = ("import sys; from frobqec import make_chain_ring, make_zm; "
+            "make_zm(1031); make_chain_ring(4, 6); print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(rings.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_additivity_blocks_reach_the_last_row():
-    # 1020 rows come in blocks of 64, the last one short; the diagonal
-    # entry of the last row is read by the last block alone.
+    # 1020 rows come in blocks of 64, the last one short, and in tiles of
+    # 128, the last of 124; the diagonal entry of the last row lies in
+    # the last of each.
     ring = make_zm(1020)
     assert ring.size % max(1, rings._CHECK_BLOCK // ring.size)
     last = ring.size - 1
