@@ -5,22 +5,25 @@ operator on functions over the carrier (amplitudes indexed by vector
 enumeration order) is monomial: row i holds one entry, scalar *
 character(form(phase, y)) in the column of y = vector i - shift.  The
 oracle holds operators as such (perm, column) pairs, from its own table
-gathers and character sums; only ``weyl_matrix`` and the projector are
-dense.  Floating point stays confined here.
+gathers and character sums; only ``weyl_matrix`` is dense, and the
+projector is summed one coset block at a time.  Floating point stays
+confined here.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import DiagnosticError, InvalidInputError, ResourceLimitError
+from .errors import ConsistencyError, DiagnosticError, InvalidInputError, ResourceLimitError
 from .rings import lookup
 from .spaces import PhaseSpace
 from .weyl import StabiliserGroup, WeylElement, commutator
 
 APPLY_BOUND = 4096
 MATRIX_BOUND = 256
-GROUP_BOUND = 4096
+MONOMIAL_BOUND = 1 << 21
 
 RANK_THRESHOLD = 1e-8
 DEAD_BAND_FLOOR = 1e-10
@@ -32,28 +35,36 @@ def _monomials(space: PhaseSpace, elements) -> tuple[np.ndarray, np.ndarray]:
     in column perms[e, i], the index of y = vector i - shift, and
     cols[e, i] = scalar * character(form(phase, y)), summed term by term
     over the form's entries (the character is additive)."""
-    ring, m, k = space.ring, space.ring.size, space.k
-    shifts = np.array([e.shift for e in elements], dtype=np.int64).reshape(-1, space.rank)
-    phases = np.array([e.phase for e in elements], dtype=np.int64).reshape(shifts.shape)
-    shifts = ring.neg_table[shifts]
+    ring, m, k, r = space.ring, space.ring.size, space.k, space.rank
+    labels = np.array([(*e.shift, *e.phase) for e in elements], dtype=np.int64).reshape(-1, 2 * r)
+    shifts, phases = ring.neg_table[labels[:, :r]], labels[:, r:]
     perms = np.zeros((len(elements), space.size), dtype=np.int64)
     nums = np.zeros_like(perms)
-    for j in reversed(range(space.rank)):
+    for j in reversed(range(r)):
         moved = lookup(ring.add_table, space.coords[:, j], shifts[:, j, None])
         perms *= m
         perms += moved
         base, q = j - j % k, j % k
         for p, row in enumerate(space.form):
             if row[q] != ring.zero:
-                coeff = ring.mul_table[phases[:, base + p], row[q]]
+                coeff = phases[:, base + p]
+                if row[q] != ring.one:
+                    coeff = ring.mul_table[coeff, row[q]]
                 nums += ring.eps_num[lookup(ring.mul_table, coeff[:, None], moved)]
-    den = ring.eps_den
-    nums %= den
-    cols = np.exp(2j * np.pi * np.arange(den) / den)[nums]
+    nums %= ring.eps_den
+    cols = _roots(ring.eps_den)[nums]
     # In place but scalar first, as in scalar * column: numpy's complex
     # product can round differently with its operands swapped.
     scalars = np.array([e.turn.as_complex() for e in elements])
     return perms, np.multiply(scalars[:, None], cols, out=cols)
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(den: int) -> np.ndarray:
+    """The den-th roots of unity, exp(2 pi i j / den) for j < den."""
+    roots = np.exp(2j * np.pi * np.arange(den) / den)
+    roots.setflags(write=False)
+    return roots
 
 
 def apply_weyl(space: PhaseSpace, e: WeylElement, state: np.ndarray) -> np.ndarray:
@@ -109,27 +120,56 @@ def projector_rank(space: PhaseSpace, s: StabiliserGroup) -> int:
     """Rank of the group-averaged operator (1/|S|) sum of the elements.
 
     For a closed group this average is a projector onto the joint fixed
-    space, so its rank is the code dimension.
+    space, so its rank is the code dimension.  Each element moves label
+    x to x - shift only, so the sum is block-diagonal over the cosets of
+    the shift subgroup and its rank is the sum of the block ranks: one
+    b x b block per coset, |H| * b entries in all for b distinct shifts.
     """
-    if space.size > MATRIX_BOUND:
-        raise ResourceLimitError(f"carrier size {space.size} exceeds {MATRIX_BOUND}")
-    if len(s) > GROUP_BOUND:
-        raise ResourceLimitError(f"group order {len(s)} exceeds {GROUP_BOUND}")
-    return matrix_rank_with_dead_band(_group_sum(space, s) / len(s))
+    if space.size > APPLY_BOUND:
+        raise ResourceLimitError(f"carrier size {space.size} exceeds {APPLY_BOUND}")
+    if len(s) * space.size > MONOMIAL_BOUND:
+        raise ResourceLimitError(
+            f"group order {len(s)} times carrier size {space.size} exceeds {MONOMIAL_BOUND}"
+        )
+    _, blocks = _block_sums(space, s)
+    blocks /= len(s)
+    return sum(map(matrix_rank_with_dead_band, blocks))
 
 
-def _group_sum(space: PhaseSpace, s: StabiliserGroup) -> np.ndarray:
-    """The sum of the elements' matrices.  Every element's entries are
-    scattered in one ``bincount`` over row * |H| + column, once for the
-    real and once for the imaginary parts; a bin adds its entries in
-    element order, as the dense sum does."""
-    size = space.size
-    bins, cols = _monomials(space, s.elements)
-    bins += np.arange(size) * size
-    total = np.empty((size, size), dtype=complex)
-    total.real.flat = np.bincount(bins.ravel(), cols.real.ravel(), size * size)
-    total.imag.flat = np.bincount(bins.ravel(), cols.imag.ravel(), size * size)
-    return total
+def _block_sums(space: PhaseSpace, s: StabiliserGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of the elements' matrices, as (index, blocks).
+
+    Labels are sorted stably by their least image under the elements: in
+    a group, the least label of their coset of the b shifts, so each
+    coset is a run of b labels, listed ascending in row k of ``index``.
+    ``blocks[k]`` is the sum on the rows and columns of run k; an entry
+    outside its row's run means the shifts form no group and raises.
+    Every element's entries are scattered in one ``bincount`` over the
+    real and imaginary parts side by side, as numpy stores them; a bin
+    adds its entries in element order, as the dense sum does.
+    """
+    size, b = space.size, len({e.shift for e in s.elements})
+    if b > MATRIX_BOUND:
+        raise ResourceLimitError(f"block size {b} (distinct shifts) exceeds {MATRIX_BOUND}")
+    perms, cols = _monomials(space, s.elements)
+    order = perms.min(axis=0).argsort(kind="stable")
+    rank = order.argsort()
+    # Row i's entry in column j lands in column rank[j] - start[i] of the
+    # block of row i, whose run starts at start[i]; its real part goes to
+    # bin 2 * flat index, its imaginary part to the next one.
+    bins = rank[perms]
+    del perms
+    bins -= rank - rank % b
+    # Read unsigned, an offset below 0 is past b too.
+    if size % b or bins.view(np.uint64).max() >= b:
+        raise ConsistencyError("the element shifts do not form a group")
+    bins += rank * b
+    parts = np.empty(bins.shape + (2,), dtype=np.int64)
+    np.multiply(bins, 2, out=parts[..., 0])
+    np.add(parts[..., 0], 1, out=parts[..., 1])
+    del bins
+    sums = np.bincount(parts.ravel(), cols.view(float).ravel(), 2 * size * b)
+    return order.reshape(-1, b), sums.view(complex).reshape(-1, b, b)
 
 
 def matrix_rank_with_dead_band(matrix: np.ndarray,

@@ -410,11 +410,13 @@ def _validate_ring(spec: RingSpec) -> None:
     """
     n = spec.size
     idx = np.arange(n)
-    a, m_ = spec.add_table, spec.mul_table
-    for table in (a, m_):
-        # An unsigned table holds no negative entry; the walk checks the top.
-        if table.shape != (n, n) or table.dtype != TABLE_DTYPE:
-            raise ConsistencyError("table shape or range is off")
+    a, m_, neg = spec.add_table, spec.mul_table, spec.neg_table
+    # An unsigned table holds no negative entry; the walk checks the top.
+    # Nothing is gathered through a table before its shape and range hold.
+    if (any(t.shape != (n, n) or t.dtype != TABLE_DTYPE for t in (a, m_))
+            or neg.shape != (n,) or spec.eps_num.shape != (n,)
+            or neg.min() < 0 or neg.max() >= n):
+        raise ConsistencyError("table shape or range is off")
     eps = spec.eps_num % spec.eps_den
     add_symmetric, additive = _walk_tiles(a, eps, spec.eps_den)
     mul_symmetric, _ = _walk_tiles(m_)
@@ -422,7 +424,7 @@ def _validate_ring(spec: RingSpec) -> None:
         raise ConsistencyError("addition is not commutative")
     if not np.array_equal(a[spec.zero], idx):
         raise ConsistencyError("zero is not an additive identity")
-    if not np.array_equal(a[idx, spec.neg_table], np.full(n, spec.zero)):
+    if not np.array_equal(a[idx, neg], np.full(n, spec.zero)):
         raise ConsistencyError("negation table is wrong")
     if not mul_symmetric:
         raise ConsistencyError("multiplication is not commutative")

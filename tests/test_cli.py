@@ -1,15 +1,23 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import frobqec
 import frobqec.analysis
 import frobqec.cli
 import frobqec.oracle
+import frobqec.rings
 import frobqec.weyl
 from frobqec import ConsistencyError, DiagnosticError, InvalidInputError
 from frobqec.cli import main, ring_from_doc, scenario_from_doc
@@ -355,6 +363,76 @@ def test_undecided_and_internal_errors_have_their_own_exits(
     assert out == ""
     assert err == f"{prefix}{error}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, values", [
+    ("neg_table", [0, 3, 2, 9]), ("neg_table", [0, 3, 2]), ("eps_num", [0, 1, 2]),
+], ids=["negation-out-of-range", "short-negation", "short-character"])
+def test_bad_builder_vector_is_internal(tmp_path, capsys, monkeypatch, name, values):
+    build = frobqec.cli.make_zm
+
+    def tampered(m):
+        ring = build(m)
+        frobqec.rings._validate_ring(dataclasses.replace(ring, **{name: np.array(values)}))
+        return ring
+
+    monkeypatch.setattr(frobqec.cli, "make_zm", tampered)
+    doc = {"ring": {"family": "zm", "m": 4}}
+    code, out, err = _run(capsys, "ring", "--scenario", _write(tmp_path, doc))
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: table shape or range is off\n"
+
+
+def _unit_generators(n, shifts, phases):
+    """Pure shifts along the first coordinates, pure phases along the
+    last: disjoint supports, so the group is abelian with no scalars."""
+    unit = lambda i: [1 if j == i else 0 for j in range(n)]
+    zero = [0] * n
+    return ([{"a": unit(i), "b": zero} for i in range(shifts)]
+            + [{"a": zero, "b": unit(n - 1 - i)} for i in range(phases)])
+
+
+@st.composite
+def _bounded_groups(draw):
+    m, exponents = draw(st.sampled_from([(2, (9, 13)), (4, (5, 6))]))
+    n = draw(st.integers(*exponents))
+    shifts = draw(st.integers(0, n))
+    return m, n, shifts, draw(st.integers(0, n - shifts))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(_bounded_groups())
+@example((2, 12, 8, 1))  # |S| * |H| at its bound
+@example((2, 12, 8, 2))  # one doubling past it
+@example((2, 9, 9, 0))  # 512 distinct shifts
+@example((2, 13, 1, 1))  # 8192 labels
+def test_oracle_fuzz_near_its_bounds(case):
+    # Carriers of 2^9 to 2^13 labels, groups of m^(shifts + phases)
+    # elements with m^shifts distinct shifts: the verdict is 0 inside
+    # every bound and 3 past any one, always with at most one stderr line.
+    m, n, shifts, phases = case
+    doc = {"ring": {"family": "zm", "m": m}, "space": {"k": 1, "n": n},
+           "stabiliser": {"generators": _unit_generators(n, shifts, phases)}}
+    size, order = m**n, m ** (shifts + phases)
+    inside = (order <= frobqec.weyl.DEFAULT_GROUP_BOUND and size <= frobqec.oracle.APPLY_BOUND
+              and order * size <= frobqec.oracle.MONOMIAL_BOUND
+              and m**shifts <= frobqec.oracle.MATRIX_BOUND)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "scenario.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["oracle", "--scenario", path, "--json"])
+    if inside:
+        assert code == 0 and err.getvalue() == ""
+        report = json.loads(out.getvalue())
+        assert report["projector_rank"] == report["code_dimension"] == size // order
+    else:
+        assert code == 3 and out.getvalue() == ""
+        assert err.getvalue().startswith("resource bound: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_oversized_ring_is_a_resource_bound(tmp_path, capsys):

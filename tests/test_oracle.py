@@ -15,9 +15,11 @@ import frobqec.oracle as oracle
 import frobqec.spaces
 import frobqec.weyl
 from frobqec import (
+    ConsistencyError,
     DiagnosticError,
     InvalidInputError,
     ResourceLimitError,
+    StabiliserGroup,
     Turn,
     apply_weyl,
     code_dimension,
@@ -287,18 +289,98 @@ def _projector(space, s):
     return _dense_sum(space, s) / len(s)
 
 
-@pytest.mark.parametrize("ring_name, k, n", [("z2", 1, 3), ("z4", 1, 2), ("f2u", 2, 1), ("z6", 1, 2)])
-def test_scattered_group_sum_is_bit_identical_to_dense(request, ring_name, k, n):
+@pytest.mark.parametrize("ring_name, k, n", SMALL_SPACES)
+def test_block_sums_are_bit_identical_to_dense(request, ring_name, k, n):
     ring = request.getfixturevalue(ring_name)
     space = std_space(ring, k, n)
     rng = np.random.default_rng(20261018)
     vec = lambda: tuple(int(x) for x in rng.integers(0, ring.size, space.rank))
+    widths = set()
     for _ in range(6):
         gens = [weyl_element(space, Turn(int(rng.integers(4)), 4), vec(), vec())
                 for _ in range(int(rng.integers(1, 3)))]
         s = group_closure(space, gens)
-        total = oracle._group_sum(space, s)
-        assert total.tobytes() == _dense_sum(space, s).tobytes()
+        index, blocks = oracle._block_sums(space, s)
+        dense = _dense_sum(space, s)
+        # A bin still adds its entries in element order.
+        assert blocks.tobytes() == np.stack([dense[np.ix_(i, i)] for i in index]).tobytes()
+        outside = np.ones(dense.shape, dtype=bool)
+        for i in index:
+            outside[np.ix_(i, i)] = False
+        assert not dense[outside].any()
+        assert sorted(index.ravel()) == list(range(space.size))
+        assert index.shape[1] == len({e.shift for e in s.elements})
+        widths.add(index.shape[1])
+    assert len(widths) > 1
+
+
+def test_block_sums_refuse_shifts_that_are_no_group(z4_line):
+    # One element shifting by 1 without its multiples: label 0 maps to 3,
+    # outside the block {0} of its least image.
+    e = weyl_element(z4_line, T0, (1,), (0,))
+    loose = StabiliserGroup(z4_line, [e], [1], [0])
+    with pytest.raises(ConsistencyError, match="do not form a group"):
+        projector_rank(z4_line, loose)
+
+
+def _seeded_abelian_group(space, rng, count):
+    """Phase-fixed closure of ``count`` seeded generators with random
+    turns whose labels commute pairwise (rejection sampling); half the
+    generators are pure phases, so the number of shifts varies."""
+    vec = lambda: tuple(int(x) for x in rng.integers(0, space.ring.size, space.rank))
+    gens = []
+    while len(gens) < count:
+        shift = vec() if rng.integers(2) else space.zero_vector()
+        e = weyl_element(space, Turn(int(rng.integers(4)), 4), shift, vec())
+        if all(commutator(space, e, g) == T0 for g in gens):
+            gens.append(e)
+    return phase_fix(group_closure(space, gens))
+
+
+@pytest.mark.parametrize("ring_name, n, count", [("z4", 5, 3), ("z2", 12, 5), ("f2u", 6, 3)])
+def test_projector_rank_reaches_4096_labels(request, ring_name, n, count):
+    space = std_space(request.getfixturevalue(ring_name), 1, n)
+    assert 256 < space.size <= oracle.APPLY_BOUND
+    rng = np.random.default_rng(20261021)
+    widths = set()
+    for _ in range(3):
+        s = _seeded_abelian_group(space, rng, count)
+        assert projector_rank(space, s) == code_dimension(space, s)
+        widths.add(len({e.shift for e in s.elements}))
+    assert len(widths) > 1 and max(widths) > 1
+
+
+def _unit(space, i):
+    return tuple(space.ring.one if j == i else space.ring.zero for j in range(space.rank))
+
+
+def test_projector_bounds_refuse_before_the_monomials(z2):
+    # 2^8 shifts and two commuting phases: 1024 elements on 4096 labels,
+    # past the |S| * |H| bound, which is checked before any allocation.
+    space = std_space(z2, 1, 12)
+    zero = space.zero_vector()
+    gens = [weyl_element(space, T0, _unit(space, i), zero) for i in range(8)]
+    gens += [weyl_element(space, T0, zero, _unit(space, i)) for i in (10, 11)]
+    s = group_closure(space, gens)
+    assert len(s) * space.size > oracle.MONOMIAL_BOUND
+    s.elements  # cached on the group before tracing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            projector_rank(space, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 2^9 distinct shifts make blocks of 512 labels, past MATRIX_BOUND.
+    small = std_space(z2, 1, 9)
+    zero = small.zero_vector()
+    s = group_closure(small, [weyl_element(small, T0, _unit(small, i), zero) for i in range(9)])
+    with pytest.raises(ResourceLimitError, match="block size 512"):
+        projector_rank(small, s)
+    big = std_space(z2, 1, 13)
+    with pytest.raises(ResourceLimitError):
+        projector_rank(big, group_closure(big, [identity_element(big)]))
 
 
 def test_projector_is_idempotent_and_fixed(z4_line, f2u_line):
@@ -322,6 +404,7 @@ def test_projector_is_idempotent_and_fixed(z4_line, f2u_line):
         ("f2u", 2, 1, ((0, 1), (1, 0))),
         ("z6", 1, 2, None),
         ("z2xz2", 2, 1, ((1, 3), (3, 0))),
+        ("z2", 1, 9, None),
     ],
 )
 def test_oracle_runs_without_the_exact_form_kernel(request, monkeypatch, ring_name, k, n, form):

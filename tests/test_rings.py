@@ -654,6 +654,21 @@ def test_range_is_checked_in_the_mirror_tile(name):
         rings._validate_ring(dataclasses.replace(ring, **{name: table}))
 
 
+BAD_VECTORS = [
+    pytest.param("neg_table", [0, 3, 2, 9], id="negation-out-of-range"),
+    pytest.param("neg_table", [0, 3, 2], id="short-negation"),
+    pytest.param("eps_num", [0, 1, 2], id="short-character"),
+]
+
+
+@pytest.mark.parametrize("name, values", BAD_VECTORS)
+def test_vectors_are_checked_before_any_gather(z4, name, values):
+    # Each of these once escaped as an IndexError from a gather.
+    broken = dataclasses.replace(z4, **{name: np.array(values)})
+    with pytest.raises(ConsistencyError, match="^table shape or range is off$"):
+        rings._validate_ring(broken)
+
+
 def test_additivity_read_on_the_upper_tile_covers_the_lower_one():
     # (300, 10) and its mirror lie off the diagonal tiles; the additivity
     # check reads only the upper one, which the symmetric tamper reaches.
