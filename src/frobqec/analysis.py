@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import (Ideal, Turn, _require_nil, digits, index_span, indices_of, lookup,
-                    nilpotency_index, nilradical)
+from .rings import (Ideal, Turn, _require_nil, digits, indices_of, lookup, nilpotency_index,
+                    nilradical)
 from .spaces import (
     BLOCK,
     PhaseSpace,
@@ -106,9 +106,8 @@ def nilpotent_code(space: PhaseSpace, ideal: Ideal) -> Submodule:
         raise InvalidInputError("ideal belongs to a different ring")
     _require_nil(ideal)
     ring, rank = space.ring, space.rank
-    additive = [ideal.elements[i] for i in index_span(ring, 1, ideal.elements)[1]]
     gens = [tuple(x if i == j else ring.zero for i in range(rank))
-            for x in additive for j in range(rank)]
+            for x in ideal.spanning.tolist() for j in range(rank)]
     return submodule_span(space, gens)
 
 

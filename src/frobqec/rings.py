@@ -30,7 +30,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,10 +88,6 @@ class Turn:
             raise InvalidInputError(f"bad turn literal {text!r}") from exc
 
     @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    @property
     def is_zero(self) -> bool:
         return self.numerator == 0
 
@@ -129,10 +124,6 @@ class Turn:
 TURN_ZERO = Turn(0, 1)
 
 
-def turn_sort_key(t: Turn) -> Fraction:
-    return t.fraction
-
-
 @dataclass(frozen=True, eq=False)
 class RingSpec:
     """A finite commutative ring with a generating additive character.
@@ -160,12 +151,6 @@ class RingSpec:
 
     def add(self, x: int, y: int) -> int:
         return self.add_table.item(x, y)
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add_table.item(x, self.neg_table.item(y))
-
-    def neg(self, x: int) -> int:
-        return self.neg_table.item(x)
 
     def mul(self, x: int, y: int) -> int:
         return self.mul_table.item(x, y)
@@ -579,34 +564,42 @@ def _contains(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     return group.take(group.searchsorted(values), mode="clip") == values
 
 
-@dataclass(frozen=True, eq=False)
 class Ideal:
-    """An ideal given by its full, sorted element list."""
+    """An ideal of ``ring``, held as ``indices``, the sorted read-only
+    int64 array of its distinct elements; ``elements`` is a tuple view
+    for reports.  ``spanning`` holds the elements that grow the additive
+    span as ``index_span`` walks ``indices``, at most log2 |I| of them:
+    they generate (I, +) and, I being closed under scalars, I over R.
+    Every ideal routine reads them.  Building an ideal checks that it is
+    one (``_check_ideal``)."""
 
-    ring: RingSpec
-    elements: tuple[int, ...]
+    def __init__(self, ring: RingSpec, indices):
+        self.ring = ring
+        self.indices = np.unique(np.asarray(indices, dtype=np.int64))
+        self.indices.setflags(write=False)
+        self.spanning = _check_ideal(ring, self.indices)
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self.indices.tolist())
 
     def __contains__(self, x: int) -> bool:
-        return x in self.elements
+        return bool(_contains(self.indices, np.array([x]))[0])
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return int(self.indices.size)
 
 
 def ideal_span(ring: RingSpec, generators) -> Ideal:
     """Smallest ideal containing the generators: the additive span of
     all ring multiples of them."""
     elems, _ = index_span(ring, 1, ring.mul_table[:, list(generators)].T)
-    ideal = Ideal(ring, tuple(elems.tolist()))
-    _check_ideal(ideal)
-    return ideal
+    return Ideal(ring, elems)
 
 
 def nilradical(ring: RingSpec) -> Ideal:
     """The ideal of nilpotent elements."""
-    ideal = Ideal(ring, tuple(np.flatnonzero(_nilpotent(ring, np.arange(ring.size))).tolist()))
-    _check_ideal(ideal)
-    return ideal
+    return Ideal(ring, np.flatnonzero(_nilpotent(ring, np.arange(ring.size))))
 
 
 def _nilpotent(ring: RingSpec, elems: np.ndarray) -> np.ndarray:
@@ -620,39 +613,46 @@ def _nilpotent(ring: RingSpec, elems: np.ndarray) -> np.ndarray:
 
 
 def _require_nil(ideal: Ideal) -> None:
-    elems = np.asarray(ideal.elements, dtype=np.int64)
-    bad = elems[~_nilpotent(ideal.ring, elems)]
+    bad = ideal.indices[~_nilpotent(ideal.ring, ideal.indices)]
     if bad.size:
         name = ideal.ring.element_str(int(bad[0]))
         raise InvalidInputError(f"ideal element {name} is not nilpotent")
 
 
 def nilpotency_index(ideal: Ideal) -> int:
-    """Least h >= 1 with ideal^h = {0}.  Input must be nil."""
+    """Least h >= 1 with ideal^h = {0}.  Input must be nil.
+
+    Products are biadditive, so the products of a set generating
+    (I^h, +) with ``spanning`` generate (I^(h+1), +); the ones that grow
+    that span generate it in turn, and none do once it is {0}."""
     _require_nil(ideal)
-    ring = ideal.ring
-    elems = np.asarray(ideal.elements, dtype=np.int64)
-    power = np.union1d(elems, [ring.zero])
+    ring, spanning = ideal.ring, ideal.spanning
+    gens = spanning
     h = 1
-    while power.size > 1:
-        power, _ = index_span(ring, 1, ring.mul_table[np.ix_(power, elems)])
+    while gens.size:
+        products = ring.mul_table[np.ix_(gens, spanning)].ravel()
+        gens = products[index_span(ring, 1, products)[1]]
         h += 1
         if h > ring.size + 1:
             raise ConsistencyError("nilpotency index failed to terminate")
     return h
 
 
-def _check_ideal(ideal: Ideal) -> None:
-    ring = ideal.ring
-    elems = np.asarray(ideal.elements, dtype=np.int64)
-    inside = np.zeros(ring.size, dtype=bool)
-    inside[elems] = True
-    if not inside[ring.zero]:
+def _check_ideal(ring: RingSpec, elems: np.ndarray) -> np.ndarray:
+    """The read-only ``spanning`` set of the sorted distinct ``elems``,
+    once they are shown to form an ideal: they equal the additive span
+    of that set, and hold r g for every r and each g in it.  Then they
+    hold every r (c_1 g_1 + ... + c_t g_t) = c_1 r g_1 + ... + c_t r g_t."""
+    if not (elems == ring.zero).any():
         raise ConsistencyError("ideal is missing zero")
-    if not inside[ring.add_table[np.ix_(elems, elems)]].all():
+    group, grew = index_span(ring, 1, elems)
+    if not np.array_equal(group, elems):
         raise ConsistencyError("ideal is not additively closed")
-    if not inside[ring.mul_table[:, elems]].all():
+    spanning = elems[grew]
+    if not _contains(elems, ring.mul_table[:, spanning].ravel()).all():
         raise ConsistencyError("ideal is not closed under ring multiples")
+    spanning.setflags(write=False)
+    return spanning
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,8 @@ def test_criterion_08_pairing_reconstruction(z2, z4, f2u, z6):
         nums = pairing_turn_numerators(space, vecs, vecs)
         for i, b in enumerate(vecs):
             for j, a in enumerate(vecs):
-                if table[(b, a)].fraction != Fraction(int(nums[i, j]), den):
+                turn = table[(b, a)]
+                if Fraction(turn.numerator, turn.denominator) != Fraction(int(nums[i, j]), den):
                     ok = False
                 pairs += 1
     _verdict(8, ok, f"{pairs} commutator-reconstructed pairings exact across all three families")

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -433,6 +434,86 @@ def test_oracle_fuzz_near_its_bounds(case):
         assert code == 3 and out.getvalue() == ""
         assert err.getvalue().startswith("resource bound: ")
         assert err.getvalue().count("\n") == 1
+
+
+_IDEAL_FAMILIES = [
+    {"family": "zm", "m": 4}, {"family": "zm", "m": 12}, {"family": "zm", "m": 4096},
+    {"family": "chain", "m": 4, "e": 2}, {"family": "chain", "m": 3, "e": 3},
+    {"family": "chain", "m": 2, "e": 12},
+    {"family": "product", "factors": [{"family": "zm", "m": 4},
+                                      {"family": "chain", "m": 2, "e": 2}]},
+]
+_BAD_ELEMENTS = ["x", 2.5, True, None, {"a": 1}, [[0]], [0] * 13]
+
+
+def _element_docs(family, unit):
+    """Element documents of units (leading coefficient coprime to m) or
+    of nilpotents (leading coefficient a multiple of every prime of m)."""
+    if family["family"] == "product":
+        return st.tuples(*(_element_docs(f, unit) for f in family["factors"])).map(list)
+    m, coeff = family["m"], st.integers(-10**6, 10**6)
+    radical = math.prod(p for p in range(2, m + 1)
+                        if m % p == 0 and all(p % q for q in range(2, p)))
+    lead = st.sampled_from([1, m - 1, m + 1]) if unit else coeff.map(lambda c: c * radical)
+    if family["family"] == "zm":
+        return lead
+    tail = st.lists(coeff, min_size=family["e"] - 1, max_size=family["e"] - 1)
+    return st.tuples(lead, tail).map(lambda t: [t[0], *t[1]])
+
+
+_BAD_IDEALS = [5, [], {}, {"generators": 5}, {"generators": [], "x": 1}]
+
+
+@st.composite
+def _ideal_scenarios(draw):
+    family = draw(st.sampled_from(_IDEAL_FAMILIES))
+    size = frobqec.rings.family_size(family)
+    nil = _element_docs(family, unit=False)
+    kind = draw(st.sampled_from(["nilpotent", "long", "unit", "malformed", "empty", "document"]))
+    extra = {"unit": _element_docs(family, unit=True).map(lambda x: [x]),
+             "malformed": st.sampled_from(_BAD_ELEMENTS).map(lambda x: [x]),
+             "long": st.lists(nil, min_size=200, max_size=400)}.get(kind, st.just([]))
+    gens = draw(st.lists(nil, max_size=0 if kind == "empty" else 3))
+    gens = draw(st.permutations(gens + draw(extra)))
+    ideal = draw(st.sampled_from(_BAD_IDEALS)) if kind == "document" else {"generators": gens}
+    doc = {"ring": family, "space": {"k": 1, "n": draw(st.integers(1, 2 if size <= 64 else 1))},
+           "ideal": ideal}
+    return draw(st.sampled_from(["protect", "invariants", "ring"])), kind, doc
+
+
+def _large(family, gens):
+    return {"ring": family, "space": {"k": 1, "n": 1}, "ideal": {"generators": gens}}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_ideal_scenarios())
+@example(("protect", "long",
+          _large(_IDEAL_FAMILIES[5], [[2 * i, i] + [0] * 10 for i in range(300)])))
+@example(("protect", "nilpotent", _large(_IDEAL_FAMILIES[2], [1024, 6, -2])))
+@example(("ring", "empty", _large(_IDEAL_FAMILIES[5], [])))
+@example(("invariants", "document", {**_large(_IDEAL_FAMILIES[6], []), "ideal": _BAD_IDEALS[3]}))
+@example(("protect", "malformed", _large(_IDEAL_FAMILIES[6], [[2, [0, 1]], "x"])))
+def test_ideal_commands_fuzz(case):
+    # Rings up to 4096 elements, carriers inside every bound: ``ring`` and
+    # ``invariants`` read only the ideal document's shape, and ``protect``
+    # refuses units and malformed elements with one line and decides the rest.
+    command, kind, doc = case
+    text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "scenario.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", path, "--json"])
+    if kind == "document" or command == "protect" and kind in ("unit", "malformed"):
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert len(err.getvalue()) < len(text) + 200
+    else:
+        assert code in ((0, 1) if command == "protect" else (0,))
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
 
 
 def test_oversized_ring_is_a_resource_bound(tmp_path, capsys):

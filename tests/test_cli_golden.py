@@ -1,6 +1,6 @@
 """Golden CLI outputs: every command on every sample scenario, byte for byte.
 
-Eight scenario commands run on each of the five documents in
+Eight scenario commands run on each of the six documents in
 ``demos/scenarios``, in text and ``--json`` (census at ``--max-elems
 16``), plus ``examples`` in both formats.  Each case compares the exit
 code, stdout and stderr with ``tests/data/cli_golden.json``.
@@ -63,7 +63,7 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert len(SCENARIOS) == 5
+    assert len(SCENARIOS) == 6
     assert sorted(golden) == sorted(CASES)
 
 

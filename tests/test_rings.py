@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,6 @@ def test_z4_character_walks_quarter_turns(z4):
 def test_z4_arithmetic_spot_checks(z4):
     assert z4.add(3, 3) == 2
     assert z4.mul(3, 3) == 1
-    assert z4.neg(1) == 3
-    assert z4.sub(1, 3) == 2
 
 
 def test_chain22_character_reads_top_coefficient(f2u):
@@ -67,7 +66,6 @@ def test_chain22_nilpotent_unit_arithmetic(f2u):
     one_plus_u = f2u.add(f2u.one, U)
     assert f2u.mul(U, U) == f2u.zero
     assert f2u.mul(one_plus_u, one_plus_u) == f2u.one
-    assert f2u.neg(U) == U
 
 
 def test_chain_of_length_one_is_zm():
@@ -88,11 +86,12 @@ def test_chain23_top_coefficient_character():
 
 def test_product_character_adds_componentwise(z6):
     z2, z3 = make_zm(2), make_zm(3)
+    fraction = lambda t: Fraction(t.numerator, t.denominator)
     for a in z2.elements():
         for b in z3.elements():
             x = z6.element_from_doc([a, b])
-            want = z2.epsilon(a).fraction + z3.epsilon(b).fraction
-            assert z6.epsilon(x).fraction == want % 1
+            want = fraction(z2.epsilon(a)) + fraction(z3.epsilon(b))
+            assert fraction(z6.epsilon(x)) == want % 1
 
 
 def test_product_is_crt_isomorphic_to_z6(z6):
@@ -311,19 +310,57 @@ def test_nilradical_values(z4, f2u, z6):
     assert nilradical(make_zm(5)).elements == (0,)
 
 
+def test_ideal_is_held_as_a_checked_index_array(z4, f2u):
+    for ring, elems, reason in ((z4, [0, 1], "additively closed"), (z4, [1, 3], "missing zero"),
+                                (f2u, [0, 1], "ring multiples")):
+        with pytest.raises(ConsistencyError, match=reason):
+            rings.Ideal(ring, np.array(elems))
+    given = np.array([2, 0, 2])
+    ideal = rings.Ideal(z4, given)
+    assert given.flags.writeable
+    assert not ideal.indices.flags.writeable and not ideal.spanning.flags.writeable
+    assert ideal.indices.dtype == np.int64 and ideal.elements == (0, 2)
+
+
+@pytest.mark.parametrize("ring", _PROPERTY_RINGS + [
+    make_chain_ring(4, 2), make_product(make_zm(4), make_chain_ring(2, 2))
+], ids=["Z_4", "Z_6", "chain(2,2)", "chain(3,2)", "chain(4,2)", "Z_4 x chain(2,2)"])
+def test_spanning_generates_the_ideal(ring):
+    # At most log2 |I| elements, and their additive span is all of I.
+    for ideal in [nilradical(ring)] + [ideal_span(ring, [x]) for x in ring.elements()]:
+        assert len(ideal.spanning) <= len(ideal).bit_length() - 1
+        assert np.array_equal(index_span(ring, 1, ideal.spanning)[0], ideal.indices)
+
+
 def test_nilpotency_index_matches_brute_force(z4, f2u):
-    cases = [
+    chain42 = make_chain_ring(4, 2)
+    cases = [ideal_span(ring, gens) for ring, gens in [
         (z4, [2]),
         (f2u, [U]),
         (make_zm(8), [2]),
         (make_zm(27), [3]),
         (make_chain_ring(2, 3), [2]),
-    ]
-    for ring, gens in cases:
-        ideal = ideal_span(ring, gens)
-        assert nilpotency_index(ideal) == _index_by_hand(ring, ideal.elements)
+    ]]
+    # Ideals with two or more greedy additive generators.
+    wide = [nilradical(ring) for ring in (chain42, make_chain_ring(4, 3),
+                                          make_product(z4, f2u),
+                                          make_product(make_zm(8), make_zm(9)),
+                                          make_product(make_zm(16), make_zm(8)))]
+    wide.append(ideal_span(chain42, [2, chain42.element_from_doc([0, 1])]))
+    assert all(len(ideal.spanning) >= 2 for ideal in wide)
+    for ideal in cases + wide:
+        assert nilpotency_index(ideal) == _index_by_hand(ideal.ring, ideal.elements)
     assert nilpotency_index(ideal_span(z4, [2])) == 2
     assert nilpotency_index(ideal_span(z4, [])) == 1
+
+
+@pytest.mark.parametrize("build, index", [
+    (lambda: make_chain_ring(2, 12), 12), (lambda: make_chain_ring(4, 6), 7),
+    (lambda: make_zm(4096), 12),
+], ids=["chain(2,12)", "chain(4,6)", "Z_4096"])
+def test_nilpotency_index_of_the_largest_nilradicals(build, index):
+    # Closed forms: u^e = 0 in a chain ring, and 2^12 = 0 in Z_4096.
+    assert nilpotency_index(nilradical(build())) == index
 
 
 def test_nilpotency_index_rejects_non_nil(z4):

@@ -1,11 +1,10 @@
 import cmath
 import math
-from fractions import Fraction
 
 import pytest
 
 from frobqec import InvalidInputError, Turn
-from frobqec.rings import TURN_ZERO, turn_sort_key
+from frobqec.rings import TURN_ZERO
 
 
 def test_normalisation_into_unit_interval():
@@ -20,8 +19,7 @@ def test_negative_denominator_is_reduced():
     assert Turn(1, -4) == Turn(3, 4)
 
 
-def test_fraction_and_is_zero():
-    assert Turn(3, 4).fraction == Fraction(3, 4)
+def test_is_zero():
     assert TURN_ZERO.is_zero
     assert not Turn(1, 2).is_zero
 
@@ -70,16 +68,6 @@ def test_as_complex_matches_cmath():
 def test_quarter_turn_is_i():
     assert abs(Turn(1, 4).as_complex() - 1j) < 1e-12
     assert abs(Turn(1, 2).as_complex() + 1) < 1e-12
-
-
-def test_sort_key_orders_by_value():
-    turns = [Turn(3, 4), TURN_ZERO, Turn(1, 2), Turn(1, 4)]
-    assert sorted(turns, key=turn_sort_key) == [
-        TURN_ZERO,
-        Turn(1, 4),
-        Turn(1, 2),
-        Turn(3, 4),
-    ]
 
 
 def test_hash_follows_equality():
