@@ -311,7 +311,7 @@ def _site_map(space: PhaseSpace, columns: np.ndarray) -> np.ndarray:
     image = None
     for j in range(k):
         term = lookup(ring.mul_table, columns[..., None, j, :], site[:, j, None])
-        image = term if image is None else lookup(ring.add_table, image, term)
+        image = term if image is None else ring.add_many(image, term)
     return indices_of(image, ring.size)
 
 

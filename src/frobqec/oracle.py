@@ -41,7 +41,7 @@ def _monomials(space: PhaseSpace, elements) -> tuple[np.ndarray, np.ndarray]:
     perms = np.zeros((len(elements), space.size), dtype=np.int64)
     nums = np.zeros_like(perms)
     for j in reversed(range(r)):
-        moved = lookup(ring.add_table, space.coords[:, j], shifts[:, j, None])
+        moved = ring.add_many(space.coords[:, j], shifts[:, j, None])
         perms *= m
         perms += moved
         base, q = j - j % k, j % k

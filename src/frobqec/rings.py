@@ -1,22 +1,29 @@
 """Finite commutative rings carrying an exact additive character.
 
-A ring lives entirely in lookup tables: the carrier is ``range(size)``,
-addition and multiplication are dense ``size x size`` index tables, and
-the additive character is a vector of exact rationals (turns).  The
-tables are stored in ``TABLE_DTYPE``, the smallest unsigned type that
-holds every index (uint16, 32 MB per table at the 4096 bound).  numpy
-converts such index arrays to intp on every fancy index, on a slow path
-when there are two of them, and when there is one it is about 2.5
-times slower than casting the index to intp a block at a time first.
-So hot gathers indexed by table values go through ``lookup`` (one flat
-intp index) when 2-D, and through ``take`` of a block cast to intp
-when 1-D.
+A ring lives in lookup data over the carrier ``range(size)``.  Every
+family's index is mixed radix, digit 0 fastest, with digits that add
+without carry, so (R, +) is the direct sum of the cyclic groups Z_r over
+the ``radices`` r.  Addition is one gather from a small sumset vector:
+x + y = sums[place[x] + place[y]], where ``place`` spreads digit i over
+2 r_i - 1 slots, so two digits add with no carry into the next, and
+``sums`` reduces each slot mod r_i (at most 3^12 entries, for
+chain(2, 12)).  Multiplication is a dense ``size x size`` index table,
+and the additive character is a vector of exact rationals (turns).
+Tables are stored in ``TABLE_DTYPE``, the smallest unsigned type that
+holds every index (uint16, 32 MB for the multiplication table at the
+4096 bound).  numpy converts such index arrays to intp on every fancy
+index, on a slow path when there are two of them, and when there is
+one it is about 2.5 times slower than casting the index to intp a block
+at a time first.  So hot gathers indexed by table values go through
+``lookup`` (one flat intp index) when 2-D, and through ``take`` of a
+block cast to intp when 1-D.
 The constructors verify the ring axioms and the generating property of
 the character at build time, so downstream code never re-proves them.
-Each table is checked in one walk over pairs of mirror tiles, which
-range-checks both tiles, compares them, and checks the character's
-additivity on the upper one.  Above 256 elements no build or check
-holds an |R|^2 temporary beside the tables.
+The sumset vector is checked against its digit definition entry by
+entry, which proves every law of addition; the multiplication table is
+checked in one walk over pairs of mirror tiles, which range-checks both
+tiles and compares them.  Above 256 elements no build or check holds an
+|R|^2 temporary beside the multiplication table.
 
 Three families are provided: integers mod m, chain rings Z_m[u]/(u^e)
 with the top-coefficient character, and binary products.  Every family
@@ -38,8 +45,9 @@ from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 MAX_RING_SIZE = 4096
 TABLE_DTYPE = np.min_scalar_type(MAX_RING_SIZE - 1)
 
-# Pairwise laws are always checked over all |R|^2 combinations.  Up to
-# this size the triple laws (associativity, distributivity) are proven
+# Pairwise laws are always checked over all |R|^2 combinations, and the
+# laws of addition follow from the sumset check.  Up to this size the
+# multiplicative triple laws (associativity, distributivity) are proven
 # for all triples by Light's test on additive generators, at |S| |R|^2
 # cost; above it, where that cost outgrows the rest of a build, seeded
 # random triples are checked instead.
@@ -128,19 +136,28 @@ TURN_ZERO = Turn(0, 1)
 class RingSpec:
     """A finite commutative ring with a generating additive character.
 
-    ``add_table``/``mul_table`` are dense, read-only ``TABLE_DTYPE``
-    (uint16) index tables over the carrier ``range(size)``; a gather
-    that indexes with their values pays numpy's conversion of the index
-    array to intp (``lookup`` keeps that cheap for a 2-D gather).
-    ``neg_table`` and ``eps_num`` are int64 vectors.
-    ``eps_num[x] / eps_den`` is the turn of the character at x; all
-    entries share one denominator so the additivity and generating
-    checks vectorise.  Instances are immutable; equality is identity
-    (compare tables directly when structural equality is meant).
+    ``radices`` are the digit radices r_i of the carrier's index, digit 0
+    fastest; W_i = r_0 ... r_(i-1) (``weights``) is the element with
+    digit i one and the others zero.  ``place`` is the intp vector
+    place[x] = sum d_i(x) (2 r_0 - 1) ... (2 r_(i-1) - 1), and ``sums``
+    the ``TABLE_DTYPE`` vector over the prod (2 r_i - 1) positions with
+    sums[p] = sum (p_i mod r_i) W_i, p_i the digits of p in the radices
+    2 r_i - 1: then x + y = sums[place[x] + place[y]] (``add_many``).
+    ``mul_table`` is a dense, read-only ``TABLE_DTYPE`` (uint16) index
+    table over the carrier ``range(size)``; a gather that indexes with
+    its values pays numpy's conversion of the index array to intp
+    (``lookup`` keeps that cheap for a 2-D gather).  ``neg_table`` and
+    ``eps_num`` are int64 vectors.  ``eps_num[x] / eps_den`` is the turn
+    of the character at x; all entries share one denominator so the
+    additivity and generating checks vectorise.  Instances are
+    immutable; equality is identity (compare tables directly when
+    structural equality is meant).
     """
 
     size: int
-    add_table: np.ndarray
+    radices: tuple[int, ...]
+    place: np.ndarray
+    sums: np.ndarray
     mul_table: np.ndarray
     neg_table: np.ndarray
     zero: int
@@ -150,7 +167,14 @@ class RingSpec:
     family: dict
 
     def add(self, x: int, y: int) -> int:
-        return self.add_table.item(x, y)
+        return self.sums.item(self.place.item(x) + self.place.item(y))
+
+    def add_many(self, x, y) -> np.ndarray:
+        """x + y for broadcasting index arrays, as ``TABLE_DTYPE`` indices."""
+        return self.sums.take(self.place.take(x) + self.place.take(y))
+
+    def weights(self) -> np.ndarray:
+        return np.cumprod((1,) + self.radices[:-1])
 
     def mul(self, x: int, y: int) -> int:
         return self.mul_table.item(x, y)
@@ -188,15 +212,15 @@ def verify_generating_character(ring: RingSpec, probes=None) -> bool:
     as every class holds one element.  Rows that differ on some columns
     differ as rows, so True is exact, and False comes only after every
     column: the test assumes no ring law.  The columns of ``probes``
-    (default: the additive generators S of ``_additive_generators``)
+    (default: the additive generators S = {W_i} of ``RingSpec.weights``)
     go first.  Every y is a sum of elements of S, so in a distributive
     ring with an additive character, character(x * .) is fixed by its
     values on S, and a generating character separates the rows within
-    |S| columns.  Zero must be an additive identity, as it is for S.
+    |S| columns.
     """
     eps = ring.eps_num % ring.eps_den
     if probes is None:
-        probes = _additive_generators(ring)
+        probes = ring.weights()
     # An element's class code is the first position of its key among the
     # sorted keys, so codes stay below |R| and keys below |R| eps_den.
     codes = np.zeros(ring.size, dtype=np.intp)
@@ -216,10 +240,13 @@ def make_zm(m: int) -> RingSpec:
     """Integers mod m with character x -> turn x/m."""
     _check_modulus(m)
     idx = np.arange(m, dtype=np.int64)
+    place, sums = _sumset((m,))
     spec = RingSpec(
         size=m,
-        add_table=_residue_table(np.add, m),
-        mul_table=_residue_table(np.multiply, m),
+        radices=(m,),
+        place=place,
+        sums=sums,
+        mul_table=_residue_table(m),
         neg_table=(-idx) % m,
         zero=0,
         one=1,
@@ -247,28 +274,23 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
         raise ResourceLimitError(f"chain ring size {m}^{e} exceeds {MAX_RING_SIZE}")
     size = m**e
     coeffs = digits(np.arange(size), m, e)
-
-    # Digits add without carry: the table of the low i+1 digits is digit
-    # i's table, weighted m^i, plus the table of the low i digits.
-    digit_add = _residue_table(np.add, m)
-    add = digit_add
-    for i in range(1, e):
-        add = digit_add[:, None, :, None] * m**i + add[None, :, None, :]
-        add = add.reshape(m ** (i + 1), -1)
+    # The coefficients are the index digits, which add without carry.
+    place, sums = _sumset((m,) * e)
 
     # With y = y0 + m*y' as indices, x*y = y0*x + u*(x*y'), and u* shifts
     # the digits up, dropping the top one: z -> z*m mod |R|.  Columns
     # below m are digit-wise multiples; columns [m*lo, m*hi) then come in
-    # one gather from ``add`` per digit, out of the columns [lo, hi), up
-    # to column low = m^h, h = ceil(e/2).
+    # one sumset gather per digit, out of the columns [lo, hi), up to
+    # column low = m^h, h = ceil(e/2).
     low, high = m ** ((e + 1) // 2), m ** (e // 2)
     mul = np.empty((size, size), dtype=TABLE_DTYPE)
     mul[:, :m] = indices_of(coeffs[:, None, :] * np.arange(m)[:, None] % m, m)
-    shift = (np.arange(size) * m % size).astype(TABLE_DTYPE)
+    shifted = place.take(np.arange(size) * m % size)  # place[u z]
     lo = 1
     while lo * m < low:
         hi = lo * m
-        cols = lookup(add, mul[:, None, :m], shift.take(mul[:, lo:hi, None].astype(np.intp)))
+        cols = sums.take(place.take(mul[:, None, :m])
+                         + shifted.take(mul[:, lo:hi, None].astype(np.intp)))
         mul[:, hi : hi * m] = cols.reshape(size, -1)
         lo = hi
 
@@ -276,10 +298,11 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     # y_hi < high = m^(e-h): x*y = x*y_lo + u^h (x*y_hi), and u^h* shifts
     # the digits up by h, clearing the low h.  So with P = x*y_lo and
     # Q = x*y_hi from the first m^h columns, and no carry between digits,
-    #   x*y = (P mod m^h) + m^h add[P div m^h, Q mod m^(e-h)],
-    # read from the m^(e-h) corner of ``add``, which stays in cache; the
-    # rows go in blocks, so the intp index stays small.
-    corner = (add[:high, :high] * low).ravel()
+    #   x*y = (P mod m^h) + m^h ((P div m^h) + (Q mod m^(e-h))),
+    # read from the m^(e-h) square of sums of the low elements, which
+    # stays in cache; the rows go in blocks, so the intp index stays small.
+    low_place = place[:high]
+    corner = (sums.take(low_place[:, None] + low_place) * low).ravel()
     rows = max(1, _CHECK_BLOCK // size)
     for start in range(0, size, rows):
         p = mul[start : start + rows, :low].copy()
@@ -290,7 +313,9 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     neg = indices_of((-coeffs) % m, m)
     spec = RingSpec(
         size=size,
-        add_table=add,
+        radices=(m,) * e,
+        place=place,
+        sums=sums,
         mul_table=mul,
         neg_table=neg,
         zero=0,
@@ -305,7 +330,8 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
 
 def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
     """Componentwise product ring; the character is the sum of the
-    component characters (turns add)."""
+    component characters (turns add).  The index (a, b) -> a |R_2| + b
+    puts R_2's digits below R_1's."""
     size = r1.size * r2.size
     if size > MAX_RING_SIZE:
         raise ResourceLimitError(f"product ring size {size} exceeds {MAX_RING_SIZE}")
@@ -313,22 +339,24 @@ def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
     idx = np.arange(size, dtype=np.int64)
     ia, ib = idx // s2, idx % s2
 
-    def combine(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        # table[(a, b), (c, d)] = t1[a, c] s2 + t2[b, d], on the axes [a, b, c, d].
-        table = np.empty((size, size), dtype=TABLE_DTYPE)
-        view = table.reshape(r1.size, s2, r1.size, s2)
-        np.multiply(t1[:, None, :, None], s2, out=view)
-        view += t2[None, :, None, :]
-        return table
+    # mul[(a, b), (c, d)] = t1[a, c] s2 + t2[b, d], on the axes [a, b, c, d].
+    mul = np.empty((size, size), dtype=TABLE_DTYPE)
+    view = mul.reshape(r1.size, s2, r1.size, s2)
+    np.multiply(r1.mul_table[:, None, :, None], s2, out=view)
+    view += r2.mul_table[None, :, None, :]
 
     den = math.lcm(r1.eps_den, r2.eps_den)
     eps = (
         r1.eps_num[ia] * (den // r1.eps_den) + r2.eps_num[ib] * (den // r2.eps_den)
     ) % den
+    radices = r2.radices + r1.radices
+    place, sums = _sumset(radices)
     spec = RingSpec(
         size=size,
-        add_table=combine(r1.add_table, r2.add_table),
-        mul_table=combine(r1.mul_table, r2.mul_table),
+        radices=radices,
+        place=place,
+        sums=sums,
+        mul_table=mul,
         neg_table=r1.neg_table[ia] * s2 + r2.neg_table[ib],
         zero=r1.zero * s2 + r2.zero,
         one=r1.one * s2 + r2.one,
@@ -340,21 +368,34 @@ def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
     return spec
 
 
-def _residue_table(op, m: int) -> np.ndarray:
-    """(x op y) mod m on range(m), written into the table a block of rows
-    at a time.  The first block is reduced from uint32 (4095^2 < 2^32)
-    by x - (x // m) m, since numpy divides by a scalar several times
-    faster than it takes ``%``.  Each later block is the one before it
-    plus a row offset: (x + r) + y = (x + y) + r and (x + r) y = xy + ry,
-    for r rows.  Both terms are below m, so the sum is written in the
-    table's own dtype and takes one conditional subtract of m: s - m
-    wraps above s unless s >= m."""
+def _sumset(radices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``place`` and ``sums`` vectors of the carrier with these digit
+    radices (as ``RingSpec`` defines them), built one digit at a time, the
+    new digit the slowest."""
+    place = np.zeros(1, dtype=np.intp)
+    sums = np.zeros(1, dtype=TABLE_DTYPE)
+    weight, slots = 1, 1
+    for r in radices:
+        place = (np.arange(r, dtype=np.intp)[:, None] * slots + place).ravel()
+        sums = ((np.arange(2 * r - 1) % r * weight).astype(TABLE_DTYPE)[:, None] + sums).ravel()
+        weight, slots = weight * r, slots * (2 * r - 1)
+    return place, sums
+
+
+def _residue_table(m: int) -> np.ndarray:
+    """x y mod m on range(m), written into the table a block of rows at a
+    time.  The first block is reduced from uint32 (4095^2 < 2^32) by
+    x - (x // m) m, since numpy divides by a scalar several times faster
+    than it takes ``%``.  Each later block is the one before it plus a
+    row offset: (x + r) y = xy + ry, for r rows.  Both terms are below m,
+    so the sum is written in the table's own dtype and takes one
+    conditional subtract of m: s - m wraps above s unless s >= m."""
     idx = np.arange(m, dtype=np.uint32)
     table = np.empty((m, m), dtype=TABLE_DTYPE)
     rows = max(1, _CHECK_BLOCK // m)
-    first = op.outer(idx[:rows], idx)
+    first = np.multiply.outer(idx[:rows], idx)
     table[:rows] = first - first // m * m
-    step = rows if op is np.add else (idx * rows % m).astype(TABLE_DTYPE)
+    step = (idx * rows % m).astype(TABLE_DTYPE)
     for start in range(rows, m, rows):
         block = table[start : start + rows]
         np.add(table[start - rows : start - rows + len(block)], step, out=block)
@@ -375,88 +416,92 @@ def _validate_ring(spec: RingSpec) -> None:
     The first law that fails, in the order of the checks below, is the
     one reported.
 
-    Each table is read in one walk over its tile pairs (i <= j): the
-    upper tile is compared with a contiguous copy of its mirror, both
-    are range-checked before anything is gathered through them, and the
-    character's additivity is checked on the upper tile only.  That
-    half is enough: once a table is proven symmetric, each lower tile
-    holds the transposed values of its upper tile, and eps(y) + eps(x)
-    = eps(x) + eps(y); an asymmetric table fails commutativity, which
-    is reported first.  So every pairwise law is still checked on all
-    |R|^2 pairs, from half the reads.
+    Addition is read from its data.  Once the radices multiply to |R|
+    and ``place`` and ``sums`` equal their digit definitions entry by
+    entry, x + y adds the digits of x and y each mod its radix: (R, +)
+    is the direct sum of the Z_(r_i), so addition is commutative and
+    associative with inverses, for every pair and every triple.  Zero
+    and the negation table are then checked in one pass each, and the
+    character is additive iff it is the sum of d_i(x) eps(W_i) with
+    r_i eps(W_i) = 0: a homomorphism of a direct sum of cyclic groups is
+    fixed by its values on the generators W_i, whose orders are the r_i.
 
-    Up to ``EXHAUSTIVE_TRIPLE_LIMIT`` elements the triple laws are proven
-    on additive generators (Light's test; Clifford and Preston, The
-    Algebraic Theory of Semigroups I, AMS 1961).  The z with (x+y)+z =
-    x+(y+z) for all x, y hold zero and are closed under +; given that,
-    so are the z with x(y+z) = xy+xz, and given both, the z with (xy)z =
-    x(yz).  So a law that holds for z in a set S generating (R, +) holds
-    for every triple.
+    The multiplication table is read in one walk over its tile pairs
+    (i <= j): the upper tile is compared with a contiguous copy of its
+    mirror, and both are range-checked before anything is gathered
+    through them.
+
+    Up to ``EXHAUSTIVE_TRIPLE_LIMIT`` elements the multiplicative triple
+    laws are proven on the additive generators S = {W_i} (Light's test;
+    Clifford and Preston, The Algebraic Theory of Semigroups I, AMS
+    1961).  Addition being associative, the z with x(y+z) = xy+xz for
+    all x, y are closed under +, and given that, so are the z with
+    (xy)z = x(yz).  So a law that holds for z in S holds for every
+    triple.
     """
     n = spec.size
     idx = np.arange(n)
-    a, m_, neg = spec.add_table, spec.mul_table, spec.neg_table
+    m_, neg = spec.mul_table, spec.neg_table
+    if math.prod(spec.radices) != n:
+        raise ConsistencyError("radices do not multiply to the ring size")
+    place, sums = _sumset(spec.radices)
     # An unsigned table holds no negative entry; the walk checks the top.
     # Nothing is gathered through a table before its shape and range hold.
-    if (any(t.shape != (n, n) or t.dtype != TABLE_DTYPE for t in (a, m_))
+    if (m_.shape != (n, n) or m_.dtype != TABLE_DTYPE
+            or spec.place.shape != place.shape or spec.place.dtype != np.intp
+            or spec.sums.shape != sums.shape or spec.sums.dtype != TABLE_DTYPE
             or neg.shape != (n,) or spec.eps_num.shape != (n,)
             or neg.min() < 0 or neg.max() >= n):
         raise ConsistencyError("table shape or range is off")
-    eps = spec.eps_num % spec.eps_den
-    add_symmetric, additive = _walk_tiles(a, eps, spec.eps_den)
-    mul_symmetric, _ = _walk_tiles(m_)
-    if not add_symmetric:
-        raise ConsistencyError("addition is not commutative")
-    if not np.array_equal(a[spec.zero], idx):
+    if not np.array_equal(spec.place, place):
+        raise ConsistencyError("place vector is wrong")
+    if not np.array_equal(spec.sums, sums):
+        raise ConsistencyError("sumset vector is wrong")
+    mul_symmetric = _walk_tiles(m_)
+    if not np.array_equal(spec.add_many(spec.zero, idx), idx):
         raise ConsistencyError("zero is not an additive identity")
-    if not np.array_equal(a[idx, neg], np.full(n, spec.zero)):
+    if not np.array_equal(spec.add_many(idx, neg), np.full(n, spec.zero)):
         raise ConsistencyError("negation table is wrong")
     if not mul_symmetric:
         raise ConsistencyError("multiplication is not commutative")
     if not np.array_equal(m_[spec.one], idx):
         raise ConsistencyError("one is not a multiplicative identity")
+    eps = spec.eps_num % spec.eps_den
     if not np.array_equal(eps, spec.eps_num):
         raise ConsistencyError("character numerators are not reduced mod the denominator")
-    if not additive:
+    gens = spec.weights()
+    radices = np.array(spec.radices)
+    on_gens = eps[gens]
+    if ((radices * on_gens) % spec.eps_den).any() or not np.array_equal(
+            idx[:, None] // gens % radices @ on_gens % spec.eps_den, eps):
         raise ConsistencyError("character is not additive")
-    gens = _additive_generators(spec)
     if not verify_generating_character(spec, gens):
         raise ConsistencyError("character is not generating")
 
     if n <= EXHAUSTIVE_TRIPLE_LIMIT:
         # Axes [x, y, s]; each law is checked over all of S before the next.
-        a_s, m_s = a[:, gens], m_[:, gens]
-        if not np.array_equal(a_s[a], a[:, a_s]):
-            raise ConsistencyError("addition is not associative")
+        a_s, m_s = spec.add_many(idx[:, None], gens), m_[:, gens]
         if not np.array_equal(m_s[m_], m_[:, m_s]):
             raise ConsistencyError("multiplication is not associative")
-        if not np.array_equal(m_[:, a_s], lookup(a, m_[:, :, None], m_s[:, None, :])):
+        if not np.array_equal(m_[:, a_s], spec.add_many(m_[:, :, None], m_s[:, None, :])):
             raise ConsistencyError("multiplication does not distribute")
     else:
         x, y, z = _sampled_triples(n)
-        if not np.array_equal(a[a[x, y], z], a[x, a[y, z]]):
-            raise ConsistencyError("addition is not associative")
         if not np.array_equal(m_[m_[x, y], z], m_[x, m_[y, z]]):
             raise ConsistencyError("multiplication is not associative")
-        if not np.array_equal(m_[x, a[y, z]], a[m_[x, y], m_[x, z]]):
+        if not np.array_equal(m_[x, spec.add_many(y, z)], spec.add_many(m_[x, y], m_[x, z])):
             raise ConsistencyError("multiplication does not distribute")
 
-    for table in (spec.add_table, spec.mul_table, spec.neg_table, spec.eps_num):
+    for table in (spec.place, spec.sums, spec.mul_table, spec.neg_table, spec.eps_num):
         table.setflags(write=False)
 
 
-def _walk_tiles(table: np.ndarray, eps=None, den: int = 1) -> tuple[bool, bool]:
-    """(symmetric, additive) for one table, from one walk over its tile
-    pairs (i <= j) as ``_validate_ring`` describes.  ``additive`` says
-    whether the character with reduced numerators ``eps`` over ``den``
-    is additive on the table; it is False without ``eps``, and moot once
-    the table is not symmetric, after which only the range is checked.
-    An entry out of range raises at once.  eps(x+y) - eps(x) - eps(y) is
-    in (-2 den, den), so it is 0 mod den iff it is 0 or -den."""
+def _walk_tiles(table: np.ndarray) -> bool:
+    """Whether the table is symmetric, from one walk over its tile pairs
+    (i <= j) as ``_validate_ring`` describes; once it is not, only the
+    range is checked.  An entry out of range raises at once."""
     n = len(table)
-    symmetric, additive = True, eps is not None
-    if additive:
-        narrow = eps.astype(np.min_scalar_type(-2 * den))
+    symmetric = True
     for i in range(0, n, _TILE):
         for j in range(i, n, _TILE):
             upper = table[i : i + _TILE, j : j + _TILE]
@@ -465,12 +510,7 @@ def _walk_tiles(table: np.ndarray, eps=None, den: int = 1) -> tuple[bool, bool]:
             if upper.max() >= n or (not same and mirror.max() >= n):
                 raise ConsistencyError("table shape or range is off")
             symmetric = same
-            if symmetric and additive:
-                block = narrow.take(upper.astype(np.intp))
-                block -= narrow[i : i + _TILE, None]
-                block -= narrow[j : j + _TILE]
-                additive = not ((block != 0) & (block != -den)).any()
-    return symmetric, additive
+    return symmetric
 
 
 def _sampled_triples(n: int) -> np.ndarray:
@@ -480,38 +520,6 @@ def _sampled_triples(n: int) -> np.ndarray:
     words, each reduced mod n."""
     words = random.Random(_TRIPLE_SEED).randbytes(12 * _TRIPLE_SAMPLES)
     return (np.frombuffer(words, "<u4") % n).astype(np.intp).reshape(3, _TRIPLE_SAMPLES)
-
-
-def _additive_generators(spec: RingSpec) -> list[int]:
-    """A set S that generates (R, +), read from the add table alone.
-
-    The least element not yet reached joins S, and the reached set grows
-    from zero by x -> x + s for every s in S.  Reached elements are
-    left-nested sums ((0 + s1) + s2) + ..., so the closure does not rely
-    on associativity; it does rely on 0 + s = s, checked before the
-    call.  |S| is 1 for Z_m and e for chain(m, e).
-
-    The reached set is already closed under the earlier columns, so a
-    new s walks it once with its own column, and only the elements that
-    reaches walk on with every column.
-    """
-    reached = {spec.zero}
-    gens: list[int] = []
-    columns: list[list[int]] = []  # columns[i][x] = x + gens[i]
-    while len(reached) < spec.size:
-        # Everything below the last generator was reached before it joined.
-        gens.append(next(x for x in range(gens[-1] if gens else 0, spec.size)
-                         if x not in reached))
-        columns.append(spec.add_table[:, gens[-1]].tolist())
-        stack = list({columns[-1][x] for x in reached} - reached)
-        reached.update(stack)
-        while stack:
-            x = stack.pop()
-            for column in columns:
-                if column[x] not in reached:
-                    reached.add(column[x])
-                    stack.append(column[x])
-    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +548,10 @@ def index_span(ring: RingSpec, width: int, items, start=None) -> tuple[np.ndarra
     """Subgroup of (R^width, +) generated by the subgroup ``start`` and
     ``items`` (sorted indices as in ``digits``), and the positions of the
     items that grew it.  An item y outside the group M so far adds the
-    disjoint cosets M + j*y, 0 < j < d for the least d with d*y in M."""
+    disjoint cosets M + j*y, 0 < j < d for the least d with d*y in M.
+    The multiples come in one array step: the digits of j*y are those of
+    y times j, each mod its radix, and L*y = 0 for L the lcm of the
+    radices, so d <= L."""
     base = ring.size
     powers = base ** np.arange(width, dtype=np.int64)
     group = np.array([ring.zero * int(powers.sum())]) if start is None else start
@@ -548,12 +559,14 @@ def index_span(ring: RingSpec, width: int, items, start=None) -> tuple[np.ndarra
     items = np.asarray(items, dtype=np.int64).reshape(-1)
     pending = np.flatnonzero(~_contains(group, items))
     grew: list[int] = []
+    weights, radices = ring.weights(), np.array(ring.radices)
+    steps = np.arange(1, math.lcm(*ring.radices) + 1)[:, None, None]
     while pending.size:
         grew.append(int(pending[0]))
-        multiples = [digits(items[pending[0]], base, width)[0]]
-        while multiples[-1] @ powers not in group:
-            multiples.append(ring.add_table[multiples[-1], multiples[0]])
-        cosets = ring.add_table[coords, np.array(multiples[:-1])[:, None, :]]
+        y = digits(items[pending[0]], base, width).reshape(width, 1)
+        multiples = steps * (y // weights % radices) % radices @ weights
+        d = 1 + int(_contains(group, multiples @ powers).argmax())
+        cosets = ring.add_many(coords, multiples[: d - 1, None, :])
         coords = np.concatenate([coords, cosets.reshape(-1, width)])
         group = np.sort(coords @ powers)
         pending = pending[~_contains(group, items[pending])]

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import RingSpec, Turn, _contains, digits, index_span, indices_of, lookup
+from .rings import RingSpec, Turn, _contains, _sumset, digits, index_span, indices_of
 
 AMBIENT_BOUND = 1 << 20
 # The submodule walk is refused once it has built more modules than
@@ -72,7 +72,8 @@ class PhaseSpace:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """(size, rank) matrix of every vector, row i = vector_from_index(i)."""
+        """(size, rank) matrix of every vector: row i holds the digits of i
+        in base |R|, coordinate 0 fastest (``vector_index`` inverts it)."""
         mat = digits(np.arange(self.size), self.ring.size, self.rank)
         mat.setflags(write=False)
         return mat
@@ -84,28 +85,12 @@ class PhaseSpace:
         m = self.ring.size
         return sum(c * m**i for i, c in enumerate(v))
 
-    def vector_from_index(self, i: int) -> Vector:
-        m = self.ring.size
-        out = []
-        for _ in range(self.rank):
-            out.append(i % m)
-            i //= m
-        return tuple(out)
-
-    def vectors(self):
-        for i in range(self.size):
-            yield self.vector_from_index(i)
-
     def add_vec(self, v: Vector, w: Vector) -> Vector:
-        add = self.ring.add_table
-        return tuple(int(add[a, b]) for a, b in zip(v, w))
+        return tuple(map(self.ring.add, v, w))
 
     def neg_vec(self, v: Vector) -> Vector:
         neg = self.ring.neg_table
         return tuple(int(neg[a]) for a in v)
-
-    def sub_vec(self, v: Vector, w: Vector) -> Vector:
-        return self.add_vec(v, self.neg_vec(w))
 
     def scalar_vec(self, r: int, v: Vector) -> Vector:
         mul = self.ring.mul_table
@@ -163,12 +148,12 @@ def _check_carrier(ring: RingSpec, k: int, n: int) -> None:
 def _check_perfect(ring: RingSpec, k: int, form: tuple[tuple[int, ...], ...]) -> None:
     m = ring.size
     site = digits(np.arange(m**k), m, k)
-    add, mul = ring.add_table, ring.mul_table
+    mul = ring.mul_table
     nonzero_row = np.zeros(m**k, dtype=bool)
     for q in range(k):
         acc = np.full(m**k, ring.zero, dtype=np.int64)
         for p in range(k):
-            acc = add[acc, mul[site[:, p], form[p][q]]]
+            acc = ring.add_many(acc, mul[site[:, p], form[p][q]])
         nonzero_row |= acc != ring.zero
     kernel = np.flatnonzero(~nonzero_row)
     if kernel.size != 1:
@@ -211,7 +196,7 @@ def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     n*k^2 table gathers; the result holds ring element indices.  A perfect
     form has a non-zero entry, so the first term starts the sum."""
     ring = space.ring
-    add, mul = ring.add_table, ring.mul_table
+    mul = ring.mul_table
     k = space.k
     out = None
     for site in range(space.n):
@@ -223,7 +208,7 @@ def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
                     continue
                 x = left[..., base + p] if b == ring.one else mul[left[..., base + p], b]
                 term = mul[x, right[..., base + q]]
-                out = term if out is None else lookup(add, out, term)
+                out = term if out is None else ring.add_many(out, term)
     return out
 
 
@@ -492,22 +477,22 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
     reps = np.flatnonzero(least == np.arange(ambient_size))
     multiples = indices_of(ring.mul_table[:, coords[reps]], m)
 
-    # Vectors add by index through the add table of R^d, d coordinates at
-    # a time, for the largest d dividing the width with |R|^d <= 256.
+    # Vectors add by index d coordinates at a time, for the largest d
+    # dividing the width with |R|^d <= 256, through the sumset vectors of
+    # R^d: its digits are the ring's, repeated d times.
     d = max(c for c in range(1, width + 1) if width % c == 0 and (c == 1 or m**c <= 256))
     piece = m**d
-    site = digits(np.arange(piece), m, d)
-    add = ring.add_table if d == 1 else sum(
-        ring.add_table[np.ix_(site[:, i], site[:, i])] * m**i for i in range(d))
+    place, sums = _sumset(ring.radices * d)
     scales = piece ** np.arange(width // d)
 
     def added(group: np.ndarray, steps: np.ndarray) -> np.ndarray:
         """Row i holds group[i, j] + steps[i, k] over every j and k, as indices."""
         group, steps = group[:, :, None], steps[:, None, :]
-        sums = lookup(add, group % piece, steps % piece)
+        total = sums.take(place.take(group % piece) + place.take(steps % piece))
         for scale in scales[1:]:
-            sums = sums + scale * lookup(add, group // scale % piece, steps // scale % piece)
-        return sums.reshape(len(group), -1)
+            total = total + scale * sums.take(place.take(group // scale % piece)
+                                              + place.take(steps // scale % piece))
+        return total.reshape(len(group), -1)
 
     transversals: dict[bytes, np.ndarray] = {}
 
@@ -515,7 +500,8 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
         """The least element of each coset r + I, the coset I first."""
         key = np.packbits(members).tobytes()
         if key not in transversals:
-            firsts = np.flatnonzero(ring.add_table[:, members].min(axis=1) == np.arange(m))
+            cosets = ring.add_many(np.arange(m)[:, None], np.flatnonzero(members))
+            firsts = np.flatnonzero(cosets.min(axis=1) == np.arange(m))
             transversals[key] = firsts[np.argsort(~members[firsts], kind="stable")]
         return transversals[key]
 

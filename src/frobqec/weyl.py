@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import TURN_ZERO, Turn, digits, index_span, indices_of, lookup
+from .rings import TURN_ZERO, Turn, digits, index_span, indices_of
 from .spaces import (
     BLOCK,
     PhaseSpace,
@@ -221,7 +221,7 @@ def _mul_many(space: PhaseSpace, den: int, x, y):
     turn numerators over den and joined label rows."""
     ring, r = space.ring, space.rank
     cross = ring.eps_num[_form(space, x[1][..., r:], y[1][..., :r])] * (den // ring.eps_den)
-    return (x[0] + y[0] + cross) % den, lookup(ring.add_table, x[1], y[1])
+    return (x[0] + y[0] + cross) % den, ring.add_many(x[1], y[1])
 
 
 def _label_rows(space: PhaseSpace, elements) -> np.ndarray:
@@ -275,7 +275,7 @@ def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
         multiple, mults = c, [coords[0]]
         while (at := _find(labels, int(indices_of(multiple, m)))) < 0:
             mults.append(multiple)
-            multiple = lookup(ring.add_table, multiple, c)
+            multiple = ring.add_many(multiple, c)
         d, target, mults = len(mults), int(turns[at]), np.array(mults, dtype=np.intp)
         # g^j has turn j*t + pairs[j] / eps_den, where pairs[j] sums <i*b, a>
         # over i < j: <b, a> * j(j-1)/2, as the character is additive.
@@ -377,7 +377,7 @@ def is_isotropic(space: PhaseSpace, l: Submodule) -> bool:
         raise InvalidInputError("isotropy applies to label modules in the doubled space")
     ring, rows, r = space.ring, l.spanning, space.rank
     values = _form(space, rows[:, None, r:], rows[None, :, :r])
-    return bool(_trivial(space, lookup(ring.add_table, values, ring.neg_table[values.T]),
+    return bool(_trivial(space, ring.add_many(values, ring.neg_table[values.T]),
                          l.r_closed).all())
 
 

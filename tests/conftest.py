@@ -7,6 +7,11 @@ def std_space(ring, k, n):
     return make_space(ring, k, n, identity_form(ring, k))
 
 
+def vectors(space):
+    """Every vector of the space as a tuple, in index order."""
+    return [tuple(row) for row in space.coords.tolist()]
+
+
 def apply_by_hand(space, g, v):
     """Reference for ``analysis.apply_matrix_blockwise``: the k x k matrix
     g applied to each k-block of v, one ring operation at a time."""

@@ -49,7 +49,7 @@ from frobqec import (
 )
 from frobqec.spaces import form_many
 
-from conftest import apply_by_hand, std_space
+from conftest import apply_by_hand, std_space, vectors
 
 SEED = 20260822
 
@@ -75,9 +75,7 @@ def _doubled_context(space):
     total = m**width
     powers = m ** np.arange(width, dtype=np.int64)
     coords = (np.arange(total, dtype=np.int64)[:, None] // powers[None, :]) % m
-    add_idx = (space.ring.add_table[coords[:, None, :], coords[None, :, :]] * powers).sum(
-        axis=2
-    )
+    add_idx = (space.ring.add_many(coords[:, None, :], coords[None, :, :]) * powers).sum(axis=2)
     scal_idx = np.stack(
         [(space.ring.mul_table[r][coords] * powers).sum(axis=1) for r in space.ring.elements()]
     )
@@ -224,9 +222,9 @@ def test_criterion_03_commutation_law(z2, z3, z4, f2u):
     for ring, k, n in symbolic_spaces:
         space = std_space(ring, k, n)
         zero = space.zero_vector()
-        for a in space.vectors():
+        for a in vectors(space):
             shift = WeylElement(TURN_ZERO, a, zero)
-            for b in space.vectors():
+            for b in vectors(space):
                 phase = WeylElement(TURN_ZERO, zero, b)
                 left = weyl_mul(space, shift, phase)
                 right = weyl_mul(space, phase, shift)
@@ -243,9 +241,9 @@ def test_criterion_03_commutation_law(z2, z3, z4, f2u):
     for ring, k, n in numeric_spaces:
         space = std_space(ring, k, n)
         zero = space.zero_vector()
-        for a in space.vectors():
+        for a in vectors(space):
             shift = WeylElement(TURN_ZERO, a, zero)
-            for b in space.vectors():
+            for b in vectors(space):
                 phase = WeylElement(TURN_ZERO, zero, b)
                 if not numeric_commutation_check(space, shift, phase, tol=1e-9):
                     ok = False
@@ -400,7 +398,7 @@ def test_criterion_08_pairing_reconstruction(z2, z4, f2u, z6):
         space = std_space(ring, k, n)
         table = reconstruct_pairing(space)
         den = ring.eps_den
-        vecs = list(space.vectors())
+        vecs = list(vectors(space))
         nums = pairing_turn_numerators(space, vecs, vecs)
         for i, b in enumerate(vecs):
             for j, a in enumerate(vecs):

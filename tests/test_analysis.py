@@ -54,7 +54,7 @@ from frobqec import (
 from frobqec import analysis, cli, spaces, weyl
 from frobqec.analysis import _protection_scans, apply_matrix_blockwise
 
-from conftest import apply_by_hand, std_space
+from conftest import apply_by_hand, std_space, vectors
 
 U = 2
 T0 = Turn()
@@ -98,8 +98,8 @@ def _census_by_hand(space):
     """Oracle: pair spans enumerate the submodules, direct sweeps do the
     classification."""
     seen = {}
-    vectors = [v + w for v in space.vectors() for w in space.vectors()]
-    for v, w in iproduct(vectors, vectors):
+    labels = [v + w for v in vectors(space) for w in vectors(space)]
+    for v, w in iproduct(labels, labels):
         module = submodule_span(space, [v, w], doubled=True)
         seen[module.elements] = module
     counts = {"submodules": len(seen), "isotropic": 0, "css": 0, "witness": 0}
@@ -399,7 +399,7 @@ def test_isometry_action_preserves_structure(f2u_plane):
 
 
 def test_isometry_action_preserves_omega(z4_line):
-    labels = [(a, b) for a in z4_line.vectors() for b in z4_line.vectors()]
+    labels = [(a, b) for a in vectors(z4_line) for b in vectors(z4_line)]
     for g in isometry_group(z4_line):
         for p in labels:
             for q in labels:
@@ -465,7 +465,7 @@ def test_column_search_matches_brute_force_in_scan_order(name):
     group = isometry_group(space)
     assert group.matrices == tuple(oracle)
     assert not group.permutations.flags.writeable
-    site = list(space.vectors())
+    site = list(vectors(space))
     for g, perm in zip(oracle, group.permutations.tolist()):
         assert perm == [space.vector_index(apply_by_hand(space, g, v)) for v in site]
     # The blockwise action takes any matrix, on plain and doubled vectors.
@@ -588,7 +588,7 @@ def _scans_by_loop(space, code, perp):
             break
     demo = None
     if len(code) > 1:
-        for b in space.vectors():
+        for b in vectors(space):
             if b in perp:
                 continue
             for u in code.elements:
@@ -602,8 +602,8 @@ def _scans_by_loop(space, code, perp):
 
 
 def _noncommutativity_by_loop(space):
-    for a in space.vectors():
-        for b in space.vectors():
+    for a in vectors(space):
+        for b in vectors(space):
             if not phase_pairing(space, b, a).is_zero:
                 return (a, b)
     return None

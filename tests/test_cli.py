@@ -19,6 +19,7 @@ import frobqec.analysis
 import frobqec.cli
 import frobqec.oracle
 import frobqec.rings
+import frobqec.spaces
 import frobqec.weyl
 from frobqec import ConsistencyError, DiagnosticError, InvalidInputError
 from frobqec.cli import main, ring_from_doc, scenario_from_doc
@@ -514,6 +515,89 @@ def test_ideal_commands_fuzz(case):
         assert code in ((0, 1) if command == "protect" else (0,))
         assert err.getvalue() == ""
         json.loads(out.getvalue())
+
+
+_CODE_FAMILIES = [
+    {"family": "zm", "m": 4}, {"family": "zm", "m": 12}, {"family": "zm", "m": 4096},
+    {"family": "chain", "m": 4, "e": 2}, {"family": "chain", "m": 2, "e": 12},
+    {"family": "product", "factors": [{"family": "zm", "m": 4},
+                                      {"family": "chain", "m": 2, "e": 2}]},
+    {"family": "product", "factors": [{"family": "zm", "m": 64},
+                                      {"family": "chain", "m": 4, "e": 3}]},
+]
+_BAD_VECTORS = ["x", 5, None, {"a": 1}, [], [[0]], ["x"], [2.5], [True]]
+
+
+def _any_element(family):
+    """Element documents with coefficients far outside the ring's range."""
+    if family["family"] == "product":
+        return st.tuples(*map(_any_element, family["factors"])).map(list)
+    coeff = st.integers(-10**6, 10**6)
+    return coeff if family["family"] == "zm" else st.lists(coeff, min_size=family["e"],
+                                                            max_size=family["e"])
+
+
+@st.composite
+def _code_scenarios(draw):
+    family = draw(st.sampled_from(_CODE_FAMILIES))
+    size = frobqec.rings.family_size(family)
+    command = draw(st.sampled_from(["code", "isometries"]))
+    kind = draw(st.sampled_from(["valid", "long", "malformed", "document", "oversized"]))
+    k = draw(st.integers(1, 3 if size <= 12 else 1))
+    n = 1 if command == "isometries" else draw(st.integers(1, 2 if size <= 64 else 1))
+    if kind == "oversized":  # rank 21: past the carrier bound for every ring
+        n = 21
+    vector = st.lists(_any_element(family), min_size=k * n, max_size=k * n)
+    gens = draw(st.lists(vector, min_size=200 if kind == "long" else 0,
+                         max_size=400 if kind == "long" else 3))
+    if kind == "malformed":
+        gens = draw(st.permutations(gens + [draw(st.sampled_from(_BAD_VECTORS))]))
+    code = draw(st.sampled_from(_BAD_IDEALS)) if kind == "document" else {"generators": gens}
+    return command, kind, {"ring": family, "space": {"k": k, "n": n}, "code": code}
+
+
+def _code_case(command, kind, family, k, n, gens):
+    return command, kind, {"ring": family, "space": {"k": k, "n": n}, "code": {"generators": gens}}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_code_scenarios())
+@example(_code_case("code", "long", _CODE_FAMILIES[2], 1, 1, [[6 * i + 1024] for i in range(300)]))
+@example(_code_case("isometries", "valid", _CODE_FAMILIES[4], 1, 1, [[[0] * 11 + [1]]]))
+@example(_code_case("isometries", "valid", _CODE_FAMILIES[6], 1, 1, [[[2, [0, 1, 0]]]]))
+@example(_code_case("code", "malformed", _CODE_FAMILIES[5], 1, 2, [[[2, [0, 1]], 0], "x"]))
+@example(_code_case("isometries", "malformed", _CODE_FAMILIES[0], 3, 1, [[1, 2, 3], [1]]))
+@example(_code_case("code", "oversized", _CODE_FAMILIES[2], 1, 6, []))
+def test_code_commands_fuzz(case):
+    # Rings up to 4096 elements and products among them.  A malformed
+    # code document or vector is refused with one line, a carrier or an
+    # isometry scan past its bound ends in a resource bound, and every
+    # other code gets a verdict: isometries preserve self-orthogonality.
+    command, kind, doc = case
+    ring, space = doc["ring"], doc["space"]
+    size = frobqec.rings.family_size(ring) ** (space["k"] * space["n"])
+    scan = frobqec.rings.family_size(ring) ** (space["k"] ** 2)
+    text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "scenario.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", path, "--json"])
+    if kind == "document" or kind == "malformed" and not (
+            command == "isometries" and scan > frobqec.analysis.ISOMETRY_SCAN_BOUND):
+        assert code == 2 and err.getvalue().startswith("error: ")
+    elif size > frobqec.spaces.AMBIENT_BOUND or (
+            command == "isometries" and scan > frobqec.analysis.ISOMETRY_SCAN_BOUND):
+        assert code == 3 and err.getvalue().startswith("resource bound: ")
+    else:
+        assert code in ((0, 1) if command == "code" else (0,))
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+        return
+    assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    assert len(err.getvalue()) < len(text) + 200
 
 
 def test_oversized_ring_is_a_resource_bound(tmp_path, capsys):

@@ -38,15 +38,14 @@ from frobqec import (
 from frobqec import spaces
 from frobqec.spaces import AMBIENT_BOUND, ENV_AMBIENT_BOUND, form_many
 
-from conftest import std_space
+from conftest import std_space, vectors
 from test_acceptance import _isotropic_label_modules
 
 U = 2
 
 
 def test_vector_index_round_trip(z4_pair):
-    for i in range(z4_pair.size):
-        v = z4_pair.vector_from_index(i)
+    for i, v in enumerate(vectors(z4_pair)):
         assert z4_pair.vector_index(v) == i
     assert z4_pair.vector_index((1, 0)) == 1
     assert z4_pair.vector_index((0, 1)) == 4
@@ -55,7 +54,6 @@ def test_vector_index_round_trip(z4_pair):
 def test_vector_arithmetic(z4_pair):
     assert z4_pair.add_vec((1, 3), (3, 2)) == (0, 1)
     assert z4_pair.neg_vec((1, 0)) == (3, 0)
-    assert z4_pair.sub_vec((0, 1), (1, 0)) == (3, 1)
     assert z4_pair.scalar_vec(2, (1, 3)) == (2, 2)
 
 
@@ -68,8 +66,8 @@ def test_form_eval_against_direct_sum(f2u_plane):
     ring = f2u_plane.ring
     form = f2u_plane.form
     k = f2u_plane.k
-    for v in list(f2u_plane.vectors())[:40]:
-        for w in list(f2u_plane.vectors())[:40:3]:
+    for v in list(vectors(f2u_plane))[:40]:
+        for w in list(vectors(f2u_plane))[:40:3]:
             total = ring.zero
             for site in range(f2u_plane.n):
                 for p in range(k):
@@ -80,8 +78,8 @@ def test_form_eval_against_direct_sum(f2u_plane):
 
 
 def test_form_is_symmetric(z4_pair):
-    for v in z4_pair.vectors():
-        for w in z4_pair.vectors():
+    for v in vectors(z4_pair):
+        for w in vectors(z4_pair):
             assert form_eval(z4_pair, v, w) == form_eval(z4_pair, w, v)
 
 
@@ -94,16 +92,16 @@ def test_phase_pairing_values(z4_line, f2u_line):
 
 def test_form_many_matches_form_eval(f2u_line, z4_pair):
     for space in (f2u_line, z4_pair):
-        rows = np.asarray(list(space.vectors()), dtype=np.int64)
+        rows = np.asarray(list(vectors(space)), dtype=np.int64)
         table = form_many(space, rows, rows)
-        for i, v in enumerate(space.vectors()):
-            for j, w in enumerate(space.vectors()):
+        for i, v in enumerate(vectors(space)):
+            for j, w in enumerate(vectors(space)):
                 assert int(table[i, j]) == form_eval(space, v, w)
 
 
 def test_pairing_turn_numerators_zero_pattern(z4_line):
     nums = pairing_turn_numerators(
-        z4_line, list(z4_line.vectors()), list(z4_line.vectors())
+        z4_line, list(vectors(z4_line)), list(vectors(z4_line))
     )
     for i in range(4):
         for j in range(4):
@@ -213,7 +211,7 @@ def test_vector_validation(z4_line):
 
 def _orthogonal_by_hand(space, code):
     out = []
-    for v in space.vectors():
+    for v in vectors(space):
         if all(phase_pairing(space, v, w).is_zero for w in code.elements):
             out.append(v)
     return out
