@@ -49,7 +49,6 @@ from .weyl import (
     code_dimension,
     commutator,
     group_closure,
-    identity_element,
     is_abelian_mod_scalars,
     is_isotropic,
     join_label,
@@ -71,7 +70,6 @@ from .analysis import (
     InvariantReport,
     IsometryGroup,
     ProtectionReport,
-    apply_matrix_blockwise,
     check_nilpotent_protection,
     css_verdict,
     invariants,

@@ -8,8 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
-from .rings import (Ideal, Turn, _require_nil, digits, indices_of, lookup, nilpotency_index,
-                    nilradical)
+from .rings import Ideal, Turn, _require_nil, digits, indices_of, nilpotency_index, nilradical
 from .spaces import (
     BLOCK,
     PhaseSpace,
@@ -310,18 +309,9 @@ def _site_map(space: PhaseSpace, columns: np.ndarray) -> np.ndarray:
     site = digits(np.arange(ring.size**k), ring.size, k)
     image = None
     for j in range(k):
-        term = lookup(ring.mul_table, columns[..., None, j, :], site[:, j, None])
+        term = ring.mul_many(columns[..., None, j, :], site[:, j, None])
         image = term if image is None else ring.add_many(image, term)
     return indices_of(image, ring.size)
-
-
-def apply_matrix_blockwise(space: PhaseSpace, g: Matrix, v: Vector) -> Vector:
-    """Apply a k x k matrix, isometry or not, to each k-block of an
-    ambient vector (or to each block of both halves of a doubled vector)."""
-    if len(v) % space.k:
-        raise InvalidInputError("vector length is not a multiple of the site rank")
-    _check_vector(space, tuple(v), len(v))
-    return _blockwise(space, _site_map(space, _columns_of(space, g)), v)
 
 
 def _blockwise(space: PhaseSpace, image: np.ndarray, v: Vector) -> Vector:

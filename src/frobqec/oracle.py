@@ -17,7 +17,6 @@ import functools
 import numpy as np
 
 from .errors import ConsistencyError, DiagnosticError, InvalidInputError, ResourceLimitError
-from .rings import lookup
 from .spaces import PhaseSpace
 from .weyl import StabiliserGroup, WeylElement, commutator
 
@@ -34,23 +33,26 @@ def _monomials(space: PhaseSpace, elements) -> tuple[np.ndarray, np.ndarray]:
     """Row e of both arrays is element e: its matrix row i holds cols[e, i]
     in column perms[e, i], the index of y = vector i - shift, and
     cols[e, i] = scalar * character(form(phase, y)), summed term by term
-    over the form's entries (the character is additive)."""
-    ring, m, k, r = space.ring, space.ring.size, space.k, space.rank
+    over the form's ``form_terms`` (the character is additive).  Each term
+    reads the character rows character(c * .) of its coefficients
+    c = phase_p b, built once for the distinct coefficients of all terms."""
+    ring, m, r = space.ring, space.ring.size, space.rank
     labels = np.array([(*e.shift, *e.phase) for e in elements], dtype=np.int64).reshape(-1, 2 * r)
     shifts, phases = ring.neg_table[labels[:, :r]], labels[:, r:]
+    p, q, b, scaled, _ = space.form_terms
+    coeffs = ring.mul_many(phases[:, p], b) if scaled else phases[:, p]
+    present = np.zeros(m, dtype=bool)
+    present[coeffs] = True
+    chars = ring.eps_num[ring.mul_many(np.flatnonzero(present)[:, None], np.arange(m))].ravel()
+    rows = (np.cumsum(present) - 1)[coeffs] * m
     perms = np.zeros((len(elements), space.size), dtype=np.int64)
     nums = np.zeros_like(perms)
     for j in reversed(range(r)):
         moved = ring.add_many(space.coords[:, j], shifts[:, j, None])
         perms *= m
         perms += moved
-        base, q = j - j % k, j % k
-        for p, row in enumerate(space.form):
-            if row[q] != ring.zero:
-                coeff = phases[:, base + p]
-                if row[q] != ring.one:
-                    coeff = ring.mul_table[coeff, row[q]]
-                nums += ring.eps_num[lookup(ring.mul_table, coeff[:, None], moved)]
+        for t in np.flatnonzero(q == j):
+            nums += chars[rows[:, t, None] + moved]
     nums %= ring.eps_den
     cols = _roots(ring.eps_den)[nums]
     # In place but scalar first, as in scalar * column: numpy's complex

@@ -1,41 +1,42 @@
 """Finite commutative rings carrying an exact additive character.
 
-A ring lives in lookup data over the carrier ``range(size)``.  Every
-family's index is mixed radix, digit 0 fastest, with digits that add
-without carry, so (R, +) is the direct sum of the cyclic groups Z_r over
-the ``radices`` r.  Addition is one gather from a small sumset vector:
-x + y = sums[place[x] + place[y]], where ``place`` spreads digit i over
-2 r_i - 1 slots, so two digits add with no carry into the next, and
-``sums`` reduces each slot mod r_i (at most 3^12 entries, for
-chain(2, 12)).  Multiplication is a dense ``size x size`` index table,
-and the additive character is a vector of exact rationals (turns).
-Tables are stored in ``TABLE_DTYPE``, the smallest unsigned type that
-holds every index (uint16, 32 MB for the multiplication table at the
-4096 bound).  numpy converts such index arrays to intp on every fancy
-index, on a slow path when there are two of them, and when there is
-one it is about 2.5 times slower than casting the index to intp a block
-at a time first.  So hot gathers indexed by table values go through
-``lookup`` (one flat intp index) when 2-D, and through ``take`` of a
-block cast to intp when 1-D.
+A ring lives in index tables over the carrier ``range(size)``, all of it
+derived from three things: the digit ``radices``, the k x k
+``structure`` constants and the character.  Every family's index is
+mixed radix, digit 0 fastest, with digits that add without carry, so
+(R, +) is the direct sum of the cyclic groups Z_r over the radices r,
+generated by the digit weights W_i.  Addition is one gather from a small
+sumset vector: x + y = sums[place[x] + place[y]], where ``place``
+spreads digit i over 2 r_i - 1 slots, so two digits add with no carry
+into the next, and ``sums`` reduces each slot mod r_i (at most 3^12
+entries, for chain(2, 12)).  Multiplication is biadditive, so it is
+fixed by the structure constants S[i][j] = W_i W_j (k <= 12).  Each
+index y splits into a low part lo(y) and a high part hi(y) that add
+without carry, and x y = x lo(y) + x hi(y) reads two half tables of
+about sqrt(|R|) columns each (``RingSpec.mul_many``): 4 MiB of intp at
+the 4096 bound.  The additive character is a vector of exact rationals
+(turns).
+
 The constructors verify the ring axioms and the generating property of
 the character at build time, so downstream code never re-proves them.
-The sumset vector is checked against its digit definition entry by
-entry, which proves every law of addition; the multiplication table is
-checked in one walk over pairs of mirror tiles, which range-checks both
-tiles and compares them.  Above 256 elements no build or check holds an
-|R|^2 temporary beside the multiplication table.
+The sumset vector, the split and the half tables are checked against
+their definitions entry by entry, and the laws of the product on the
+structure constants alone; biadditivity then carries every law to every
+pair and every triple, at every size.  No build or check holds an |R|^2
+temporary.
 
 Three families are provided: integers mod m, chain rings Z_m[u]/(u^e)
-with the top-coefficient character, and binary products.  Every family
+with the top-coefficient character, and binary products.  Each supplies
+only its radices, structure constants, one and character.  Every family
 keeps a small ``family`` descriptor that doubles as its JSON document.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,22 +45,6 @@ from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 
 MAX_RING_SIZE = 4096
 TABLE_DTYPE = np.min_scalar_type(MAX_RING_SIZE - 1)
-
-# Pairwise laws are always checked over all |R|^2 combinations, and the
-# laws of addition follow from the sumset check.  Up to this size the
-# multiplicative triple laws (associativity, distributivity) are proven
-# for all triples by Light's test on additive generators, at |S| |R|^2
-# cost; above it, where that cost outgrows the rest of a build, seeded
-# random triples are checked instead.
-EXHAUSTIVE_TRIPLE_LIMIT = 256
-_TRIPLE_SAMPLES = 1000
-_TRIPLE_SEED = 20260822
-# Table builds that go by rows take blocks of at most this many entries,
-# so no build needs an |R|^2 temporary.
-_CHECK_BLOCK = 1 << 16
-# The checks walk each table in square tiles of this side, paired with
-# their mirror tiles, so no check reads a whole table in transposed order.
-_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -138,27 +123,38 @@ class RingSpec:
 
     ``radices`` are the digit radices r_i of the carrier's index, digit 0
     fastest; W_i = r_0 ... r_(i-1) (``weights``) is the element with
-    digit i one and the others zero.  ``place`` is the intp vector
-    place[x] = sum d_i(x) (2 r_0 - 1) ... (2 r_(i-1) - 1), and ``sums``
-    the ``TABLE_DTYPE`` vector over the prod (2 r_i - 1) positions with
-    sums[p] = sum (p_i mod r_i) W_i, p_i the digits of p in the radices
-    2 r_i - 1: then x + y = sums[place[x] + place[y]] (``add_many``).
-    ``mul_table`` is a dense, read-only ``TABLE_DTYPE`` (uint16) index
-    table over the carrier ``range(size)``; a gather that indexes with
-    its values pays numpy's conversion of the index array to intp
-    (``lookup`` keeps that cheap for a 2-D gather).  ``neg_table`` and
-    ``eps_num`` are int64 vectors.  ``eps_num[x] / eps_den`` is the turn
-    of the character at x; all entries share one denominator so the
-    additivity and generating checks vectorise.  Instances are
-    immutable; equality is identity (compare tables directly when
-    structural equality is meant).
+    digit i one and the others zero.  ``structure`` is the k x k intp
+    matrix of the products S[i][j] = W_i W_j, as element indices.
+    ``place`` is the intp vector place[x] = sum d_i(x) (2 r_0 - 1) ...
+    (2 r_(i-1) - 1), and ``sums`` the ``TABLE_DTYPE`` vector over the
+    prod (2 r_i - 1) positions with sums[p] = sum (p_i mod r_i) W_i, p_i
+    the digits of p in the radices 2 r_i - 1: then x + y =
+    sums[place[x] + place[y]] (``add_many``).
+
+    The split of ``_split`` cuts the digits at digit t, and digit t at
+    c: y = lo + h with lo the digits below t and d_t mod c, h the
+    multiple c (d_t div c) of W_t and the digits above t, which add
+    without carry.  ``lo_of[y]`` is lo as an index below n_lo, and
+    ``hi_of[y]`` numbers h below n_hi.  The intp half tables hold the
+    places of products: ``mul_lo[x, a]`` = place[x a] for a < n_lo, and
+    ``mul_hi[x, b]`` = place[x h_b] for the b-th high part h_b, so x y =
+    sums[mul_lo[x, lo_of[y]] + mul_hi[x, hi_of[y]]] (``mul_many``).
+    ``neg_table`` and ``eps_num`` are int64 vectors.
+    ``eps_num[x] / eps_den`` is the turn of the character at x; all
+    entries share one denominator so the additivity and generating
+    checks vectorise.  Instances are immutable; equality is identity
+    (compare tables directly when structural equality is meant).
     """
 
     size: int
     radices: tuple[int, ...]
+    structure: np.ndarray
     place: np.ndarray
     sums: np.ndarray
-    mul_table: np.ndarray
+    lo_of: np.ndarray
+    hi_of: np.ndarray
+    mul_lo: np.ndarray
+    mul_hi: np.ndarray
     neg_table: np.ndarray
     zero: int
     one: int
@@ -177,7 +173,17 @@ class RingSpec:
         return np.cumprod((1,) + self.radices[:-1])
 
     def mul(self, x: int, y: int) -> int:
-        return self.mul_table.item(x, y)
+        return self.sums.item(self.mul_lo.item(x, self.lo_of.item(y))
+                              + self.mul_hi.item(x, self.hi_of.item(y)))
+
+    def mul_many(self, x, y) -> np.ndarray:
+        """x y for broadcasting index arrays, as ``TABLE_DTYPE`` indices,
+        from 1-D gathers only: the places of x lo(y) and x hi(y) read from
+        the flat half tables, added through the sumset."""
+        x = np.asarray(x, dtype=np.intp)
+        places = self.mul_lo.take(x * self.mul_lo.shape[1] + self.lo_of.take(y))
+        places += self.mul_hi.take(x * self.mul_hi.shape[1] + self.hi_of.take(y))
+        return self.sums.take(places)
 
     def epsilon(self, x: int) -> Turn:
         return Turn(self.eps_num.item(x), self.eps_den)
@@ -223,9 +229,11 @@ def verify_generating_character(ring: RingSpec, probes=None) -> bool:
         probes = ring.weights()
     # An element's class code is the first position of its key among the
     # sorted keys, so codes stay below |R| and keys below |R| eps_den.
+    idx = np.arange(ring.size)
     codes = np.zeros(ring.size, dtype=np.intp)
-    for y in itertools.chain(probes, range(ring.size)):
-        keys = codes * ring.eps_den + eps[ring.mul_table[:, y]]
+    columns = ring.mul_many(idx[:, None], np.asarray(probes, dtype=np.intp)).T
+    for column in itertools.chain(columns, (ring.mul_many(idx, y) for y in range(ring.size))):
+        keys = codes * ring.eps_den + eps[column]
         ordered = np.sort(keys)
         if (ordered[1:] != ordered[:-1]).all():
             return True
@@ -237,34 +245,19 @@ def verify_generating_character(ring: RingSpec, probes=None) -> bool:
 # constructors
 
 def make_zm(m: int) -> RingSpec:
-    """Integers mod m with character x -> turn x/m."""
+    """Integers mod m with character x -> turn x/m: W_0 = 1, S = [[1]]."""
     _check_modulus(m)
-    idx = np.arange(m, dtype=np.int64)
-    place, sums = _sumset((m,))
-    spec = RingSpec(
-        size=m,
-        radices=(m,),
-        place=place,
-        sums=sums,
-        mul_table=_residue_table(m),
-        neg_table=(-idx) % m,
-        zero=0,
-        one=1,
-        eps_num=idx.copy(),
-        eps_den=m,
-        family={"family": "zm", "m": m},
-    )
-    _validate_ring(spec)
-    return spec
+    return _ring((m,), [[1]], 1, np.arange(m, dtype=np.int64), m, {"family": "zm", "m": m})
 
 
 def make_chain_ring(m: int, e: int) -> RingSpec:
     """Z_m[u]/(u^e) with the top-coefficient character.
 
-    An element sum(a_i u^i) is encoded as the index sum(a_i m^i); its
-    character turn is a_{e-1}/m.  The generating property of that choice
-    is not assumed: it is verified exhaustively and construction fails
-    if it does not hold.
+    An element sum(a_i u^i) is encoded as the index sum(a_i m^i), so
+    W_i = u^i and W_i W_j = W_(i+j), or 0 once i + j >= e; its character
+    turn is a_{e-1}/m.  The generating property of that choice is not
+    assumed: it is verified exhaustively and construction fails if it
+    does not hold.
     """
     _check_modulus(m)
     if not isinstance(e, int) or e < 1:
@@ -272,99 +265,42 @@ def make_chain_ring(m: int, e: int) -> RingSpec:
     # m >= 2, so a long chain is refused before m**e is formed.
     if e >= MAX_RING_SIZE.bit_length() or m**e > MAX_RING_SIZE:
         raise ResourceLimitError(f"chain ring size {m}^{e} exceeds {MAX_RING_SIZE}")
-    size = m**e
-    coeffs = digits(np.arange(size), m, e)
-    # The coefficients are the index digits, which add without carry.
-    place, sums = _sumset((m,) * e)
-
-    # With y = y0 + m*y' as indices, x*y = y0*x + u*(x*y'), and u* shifts
-    # the digits up, dropping the top one: z -> z*m mod |R|.  Columns
-    # below m are digit-wise multiples; columns [m*lo, m*hi) then come in
-    # one sumset gather per digit, out of the columns [lo, hi), up to
-    # column low = m^h, h = ceil(e/2).
-    low, high = m ** ((e + 1) // 2), m ** (e // 2)
-    mul = np.empty((size, size), dtype=TABLE_DTYPE)
-    mul[:, :m] = indices_of(coeffs[:, None, :] * np.arange(m)[:, None] % m, m)
-    shifted = place.take(np.arange(size) * m % size)  # place[u z]
-    lo = 1
-    while lo * m < low:
-        hi = lo * m
-        cols = sums.take(place.take(mul[:, None, :m])
-                         + shifted.take(mul[:, lo:hi, None].astype(np.intp)))
-        mul[:, hi : hi * m] = cols.reshape(size, -1)
-        lo = hi
-
-    # The rest by a half-digit split y = y_lo + m^h y_hi, y_lo < m^h and
-    # y_hi < high = m^(e-h): x*y = x*y_lo + u^h (x*y_hi), and u^h* shifts
-    # the digits up by h, clearing the low h.  So with P = x*y_lo and
-    # Q = x*y_hi from the first m^h columns, and no carry between digits,
-    #   x*y = (P mod m^h) + m^h ((P div m^h) + (Q mod m^(e-h))),
-    # read from the m^(e-h) square of sums of the low elements, which
-    # stays in cache; the rows go in blocks, so the intp index stays small.
-    low_place = place[:high]
-    corner = (sums.take(low_place[:, None] + low_place) * low).ravel()
-    rows = max(1, _CHECK_BLOCK // size)
-    for start in range(0, size, rows):
-        p = mul[start : start + rows, :low].copy()
-        at = (p // low * high).astype(np.intp)[:, None, :] + p[:, :high, None] % high
-        np.add(corner[at], p[:, None, :] % low,
-               out=mul[start : start + rows].reshape(len(p), high, low))
-
-    neg = indices_of((-coeffs) % m, m)
-    spec = RingSpec(
-        size=size,
-        radices=(m,) * e,
-        place=place,
-        sums=sums,
-        mul_table=mul,
-        neg_table=neg,
-        zero=0,
-        one=1,
-        eps_num=coeffs[:, e - 1].copy(),
-        eps_den=m,
-        family={"family": "chain", "m": m, "e": e},
-    )
-    _validate_ring(spec)
-    return spec
+    degree = np.add.outer(np.arange(e), np.arange(e))
+    structure = np.where(degree < e, m ** np.minimum(degree, e - 1), 0)
+    eps = np.arange(m**e, dtype=np.int64) // m ** (e - 1)
+    return _ring((m,) * e, structure, 1, eps, m, {"family": "chain", "m": m, "e": e})
 
 
 def make_product(r1: RingSpec, r2: RingSpec) -> RingSpec:
     """Componentwise product ring; the character is the sum of the
     component characters (turns add).  The index (a, b) -> a |R_2| + b
-    puts R_2's digits below R_1's."""
+    puts R_2's digits below R_1's, so the structure constants are R_2's
+    and R_1's scaled by |R_2|, block-diagonal: the cross products vanish."""
     size = r1.size * r2.size
     if size > MAX_RING_SIZE:
         raise ResourceLimitError(f"product ring size {size} exceeds {MAX_RING_SIZE}")
-    s2 = r2.size
-    idx = np.arange(size, dtype=np.int64)
-    ia, ib = idx // s2, idx % s2
-
-    # mul[(a, b), (c, d)] = t1[a, c] s2 + t2[b, d], on the axes [a, b, c, d].
-    mul = np.empty((size, size), dtype=TABLE_DTYPE)
-    view = mul.reshape(r1.size, s2, r1.size, s2)
-    np.multiply(r1.mul_table[:, None, :, None], s2, out=view)
-    view += r2.mul_table[None, :, None, :]
-
+    s2, k2 = r2.size, len(r2.radices)
+    ia, ib = np.divmod(np.arange(size, dtype=np.int64), s2)
+    structure = np.zeros((k2 + len(r1.radices),) * 2, dtype=np.intp)
+    structure[:k2, :k2] = r2.structure
+    structure[k2:, k2:] = r1.structure * s2
     den = math.lcm(r1.eps_den, r2.eps_den)
     eps = (
         r1.eps_num[ia] * (den // r1.eps_den) + r2.eps_num[ib] * (den // r2.eps_den)
     ) % den
-    radices = r2.radices + r1.radices
-    place, sums = _sumset(radices)
-    spec = RingSpec(
-        size=size,
-        radices=radices,
-        place=place,
-        sums=sums,
-        mul_table=mul,
-        neg_table=r1.neg_table[ia] * s2 + r2.neg_table[ib],
-        zero=r1.zero * s2 + r2.zero,
-        one=r1.one * s2 + r2.one,
-        eps_num=eps,
-        eps_den=den,
-        family={"family": "product", "factors": [r1.family, r2.family]},
-    )
-    _validate_ring(spec)
+    return _ring(r2.radices + r1.radices, structure, r1.one * s2 + r2.one, eps, den,
+                 {"family": "product", "factors": [r1.family, r2.family]})
+
+
+def _ring(radices, structure, one: int, eps_num, eps_den: int, family: dict) -> RingSpec:
+    """The validated ring of these radices, structure constants, one and
+    character, with every other table derived from them."""
+    structure = np.array(structure, dtype=np.intp)
+    derived = _derive(radices, structure)
+    spec = RingSpec(size=math.prod(radices), radices=radices, structure=structure,
+                    **{name: derived[name] for name in _DERIVED}, zero=0, one=one,
+                    eps_num=eps_num, eps_den=eps_den, family=family)
+    _validate_ring(spec, derived)
     return spec
 
 
@@ -382,25 +318,95 @@ def _sumset(radices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return place, sums
 
 
-def _residue_table(m: int) -> np.ndarray:
-    """x y mod m on range(m), written into the table a block of rows at a
-    time.  The first block is reduced from uint32 (4095^2 < 2^32) by
-    x - (x // m) m, since numpy divides by a scalar several times faster
-    than it takes ``%``.  Each later block is the one before it plus a
-    row offset: (x + r) y = xy + ry, for r rows.  Both terms are below m,
-    so the sum is written in the table's own dtype and takes one
-    conditional subtract of m: s - m wraps above s unless s >= m."""
-    idx = np.arange(m, dtype=np.uint32)
-    table = np.empty((m, m), dtype=TABLE_DTYPE)
-    rows = max(1, _CHECK_BLOCK // m)
-    first = np.multiply.outer(idx[:rows], idx)
-    table[:rows] = first - first // m * m
-    step = (idx * rows % m).astype(TABLE_DTYPE)
-    for start in range(rows, m, rows):
-        block = table[start : start + rows]
-        np.add(table[start - rows : start - rows + len(block)], step, out=block)
-        np.minimum(block, block - m, out=block)
+# The ``RingSpec`` tables derived from the radices and the structure constants.
+_DERIVED = ("place", "sums", "lo_of", "hi_of", "mul_lo", "mul_hi", "neg_table")
+
+
+def _derive(radices: tuple[int, ...], structure: np.ndarray) -> dict:
+    """The ``_DERIVED`` tables by field name, and G as ``by_gens``."""
+    place, sums = _sumset(radices)
+    idx = np.arange(math.prod(radices))
+    weights = np.cumprod((1,) + radices[:-1])
+    by_gens = _by_generators(place, sums, radices, structure)
+    return dict(place=place, sums=sums, by_gens=by_gens,
+                neg_table=-(idx[:, None] // weights) % np.array(radices) @ weights,
+                **_halves(place, sums, radices, by_gens))
+
+
+def _by_generators(place, sums, radices, structure) -> np.ndarray:
+    """place[x W_i] for every x and i, with x W_i the sum of the d_j(x)
+    S[j][i] over the digits j of x."""
+    return _span_places(place, sums, [(place.take(row), r, 1)
+                                      for row, r in zip(structure, radices)]).T
+
+
+@functools.lru_cache(maxsize=256)
+def _split(radices: tuple[int, ...]) -> tuple[int, int]:
+    """The digit t and the cut c < r_t + 1 of ``RingSpec``'s split, which
+    minimise n_lo + n_hi = W_t c + ceil(r_t / c) |R| / W_(t+1); the first
+    such pair, t then c ascending."""
+    size, weights = math.prod(radices), np.cumprod((1,) + radices[:-1]).tolist()
+    return min((w * c + -(-r // c) * (size // (w * r)), t, c)
+               for t, (w, r) in enumerate(zip(weights, radices)) for c in range(1, r + 1))[1:]
+
+
+def _halves(place, sums, radices, by_gens: np.ndarray) -> dict:
+    """``lo_of``, ``hi_of``, ``mul_lo`` and ``mul_hi``, with the products
+    x a and x h_b summed from the multiples of the x W_i (``by_gens``,
+    as places)."""
+    t, c = _split(radices)
+    weight, r = math.prod(radices[:t]), radices[t]
+    high = -(-r // c)
+    idx = np.arange(len(by_gens))
+    digit = idx // weight % r
+    cols = by_gens.T
+    lo = [(cols[i], radices[i], 1) for i in range(t)] + [(cols[t], c, 1)]
+    hi = [(cols[t], high, c)] + [(cols[i], radices[i], 1) for i in range(t + 1, len(radices))]
+    return dict(lo_of=idx % weight + weight * (digit % c),
+                hi_of=digit // c + high * (idx // (weight * r)),
+                mul_lo=_span_places(place, sums, lo), mul_hi=_span_places(place, sums, hi))
+
+
+def _span_places(place, sums, steps) -> np.ndarray:
+    """Row by row, the places of the sums j_0 c_0 g_0 + j_1 c_1 g_1 + ...
+    over 0 <= j_s < n_s, j_0 fastest, for the steps (g_s, n_s, c_s): g_s
+    holds the place of one generator of each row.  A step grows the
+    table by doubling: its blocks for j below h and h c_s g_s, added
+    through the sumset, give those below 2h, so a step takes about
+    log2(n_s) array steps, never one per multiple."""
+    table = np.zeros((len(steps[0][0]), 1), dtype=np.intp)
+    for first, count, stride in steps:
+        if count == 1:
+            continue
+        step, cols = _times(place, sums, first, stride)[:, None], table.shape[1]
+        grown = np.empty((len(table), count * cols), dtype=np.intp)
+        grown[:, :cols] = table
+        h = 1
+        while h < count:
+            width = min(h, count - h) * cols
+            grown[:, h * cols : h * cols + width] = place.take(sums.take(grown[:, :width] + step))
+            h *= 2
+            if h < count:
+                step = place.take(sums.take(step + step))
+        table = grown
     return table
+
+
+def _times(place, sums, first: np.ndarray, count: int) -> np.ndarray:
+    """The places of count g for the places g in ``first``, by doubling
+    and adding along the bits of count."""
+    total, step = None, first
+    while count:
+        if count & 1:
+            total = step if total is None else place.take(sums.take(total + step))
+        count >>= 1
+        if count:
+            step = place.take(sums.take(step + step))
+    return total
+
+
+def _same(stored: np.ndarray, table: np.ndarray) -> bool:
+    return stored is table or np.array_equal(stored, table)
 
 
 def _check_modulus(m: int) -> None:
@@ -410,116 +416,93 @@ def _check_modulus(m: int) -> None:
         raise ResourceLimitError(f"modulus {m} exceeds {MAX_RING_SIZE}")
 
 
-def _validate_ring(spec: RingSpec) -> None:
+def _validate_ring(spec: RingSpec, derived: dict | None = None) -> None:
     """Exhaustive construction-time verification.  Failures raise
     ConsistencyError: they mean the builder is wrong, not the caller.
     The first law that fails, in the order of the checks below, is the
-    one reported.
+    one reported.  Nothing is gathered through a table before its shape
+    and range hold.
 
     Addition is read from its data.  Once the radices multiply to |R|
     and ``place`` and ``sums`` equal their digit definitions entry by
     entry, x + y adds the digits of x and y each mod its radix: (R, +)
     is the direct sum of the Z_(r_i), so addition is commutative and
-    associative with inverses, for every pair and every triple.  Zero
-    and the negation table are then checked in one pass each, and the
-    character is additive iff it is the sum of d_i(x) eps(W_i) with
-    r_i eps(W_i) = 0: a homomorphism of a direct sum of cyclic groups is
-    fixed by its values on the generators W_i, whose orders are the r_i.
+    associative with inverses, for every pair and every triple.  Zero is
+    then the index with no digit, and the negation table must negate each
+    digit.
 
-    The multiplication table is read in one walk over its tile pairs
-    (i <= j): the upper tile is compared with a contiguous copy of its
-    mirror, and both are range-checked before anything is gathered
-    through them.
+    Multiplication is read from the structure constants S[j][i] = W_j W_i.
+    G[x, i] = x W_i is their digit-linear extension, sum d_j(x) S[j][i],
+    and x y = sum d_i(y) G[x, i].  G is additive in x iff r_j S[j][i] = 0
+    for all i and j (a homomorphism of a direct sum of cyclic groups is
+    fixed by its values on the generators, whose orders are the r_j).
+    Given that and S = S^T, r_i G[x, i] = sum d_j(x) r_i S[i][j] = 0, so
+    the product is additive in y as well: biadditive, so it distributes,
+    and it is commutative.  Then (xy)z - x(yz) and 1 y - y are additive in
+    each argument, so they vanish everywhere iff they vanish on the W_i:
+    k checks of one W_i = W_i and k^3 of (W_a W_b) W_c = (W_b W_c) W_a.
+    The split and the half tables must then equal their definitions from
+    S entry by entry, so ``mul_many`` reads exactly that product.  A
+    builder hands in what it derived with ``_derive`` as ``derived``, so
+    nothing is derived twice; without it, the tables are derived here, and
+    tables set any other way are compared with them.
 
-    Up to ``EXHAUSTIVE_TRIPLE_LIMIT`` elements the multiplicative triple
-    laws are proven on the additive generators S = {W_i} (Light's test;
-    Clifford and Preston, The Algebraic Theory of Semigroups I, AMS
-    1961).  Addition being associative, the z with x(y+z) = xy+xz for
-    all x, y are closed under +, and given that, so are the z with
-    (xy)z = x(yz).  So a law that holds for z in S holds for every
-    triple.
+    The character is additive iff it is the sum of d_i(x) eps(W_i) with
+    r_i eps(W_i) = 0, by the same argument, and it is generating iff
+    ``verify_generating_character`` tells its rows apart.
     """
-    n = spec.size
-    idx = np.arange(n)
-    m_, neg = spec.mul_table, spec.neg_table
+    n, k = spec.size, len(spec.radices)
+    s, neg = spec.structure, spec.neg_table
     if math.prod(spec.radices) != n:
         raise ConsistencyError("radices do not multiply to the ring size")
-    place, sums = _sumset(spec.radices)
-    # An unsigned table holds no negative entry; the walk checks the top.
-    # Nothing is gathered through a table before its shape and range hold.
-    if (m_.shape != (n, n) or m_.dtype != TABLE_DTYPE
-            or spec.place.shape != place.shape or spec.place.dtype != np.intp
+    place, sums = _sumset(spec.radices) if derived is None else (derived["place"], derived["sums"])
+    if (spec.place.shape != place.shape or spec.place.dtype != np.intp
             or spec.sums.shape != sums.shape or spec.sums.dtype != TABLE_DTYPE
             or neg.shape != (n,) or spec.eps_num.shape != (n,)
-            or neg.min() < 0 or neg.max() >= n):
+            or neg.min() < 0 or neg.max() >= n
+            or s.shape != (k, k) or s.dtype != np.intp or s.min() < 0 or s.max() >= n
+            or not 0 <= spec.zero < n or not 0 <= spec.one < n):
         raise ConsistencyError("table shape or range is off")
-    if not np.array_equal(spec.place, place):
+    if not _same(spec.place, place):
         raise ConsistencyError("place vector is wrong")
-    if not np.array_equal(spec.sums, sums):
+    if not _same(spec.sums, sums):
         raise ConsistencyError("sumset vector is wrong")
-    mul_symmetric = _walk_tiles(m_)
-    if not np.array_equal(spec.add_many(spec.zero, idx), idx):
+    # With addition digit by digit, zero is the index with no digit, and
+    # -x the index of the negated digits of x.
+    if spec.zero != 0:
         raise ConsistencyError("zero is not an additive identity")
-    if not np.array_equal(spec.add_many(idx, neg), np.full(n, spec.zero)):
+    if derived is None:
+        derived = _derive(spec.radices, s)
+    if not _same(neg, derived["neg_table"]):
         raise ConsistencyError("negation table is wrong")
-    if not mul_symmetric:
+
+    radices, gens = np.array(spec.radices), spec.weights()
+    if (radices[:, None, None] * (s[:, :, None] // gens % radices) % radices).any():
+        raise ConsistencyError("multiplication does not distribute")
+    if not np.array_equal(s, s.T):
         raise ConsistencyError("multiplication is not commutative")
-    if not np.array_equal(m_[spec.one], idx):
+    by_gens = derived["by_gens"]
+    if not (by_gens[spec.one] == place[gens]).all():
         raise ConsistencyError("one is not a multiplicative identity")
+    if not (by_gens[s[:, :, None], np.arange(k)] == by_gens[s, np.arange(k)[:, None, None]]).all():
+        raise ConsistencyError("multiplication is not associative")
+    for name in ("lo_of", "hi_of", "mul_lo", "mul_hi"):
+        stored = getattr(spec, name)
+        if stored.dtype != np.intp or not _same(stored, derived[name]):
+            raise ConsistencyError("half product table is wrong")
+
     eps = spec.eps_num % spec.eps_den
-    if not np.array_equal(eps, spec.eps_num):
+    if not (eps == spec.eps_num).all():
         raise ConsistencyError("character numerators are not reduced mod the denominator")
-    gens = spec.weights()
-    radices = np.array(spec.radices)
     on_gens = eps[gens]
     if ((radices * on_gens) % spec.eps_den).any() or not np.array_equal(
-            idx[:, None] // gens % radices @ on_gens % spec.eps_den, eps):
+            np.arange(n)[:, None] // gens % radices @ on_gens % spec.eps_den, eps):
         raise ConsistencyError("character is not additive")
     if not verify_generating_character(spec, gens):
         raise ConsistencyError("character is not generating")
 
-    if n <= EXHAUSTIVE_TRIPLE_LIMIT:
-        # Axes [x, y, s]; each law is checked over all of S before the next.
-        a_s, m_s = spec.add_many(idx[:, None], gens), m_[:, gens]
-        if not np.array_equal(m_s[m_], m_[:, m_s]):
-            raise ConsistencyError("multiplication is not associative")
-        if not np.array_equal(m_[:, a_s], spec.add_many(m_[:, :, None], m_s[:, None, :])):
-            raise ConsistencyError("multiplication does not distribute")
-    else:
-        x, y, z = _sampled_triples(n)
-        if not np.array_equal(m_[m_[x, y], z], m_[x, m_[y, z]]):
-            raise ConsistencyError("multiplication is not associative")
-        if not np.array_equal(m_[x, spec.add_many(y, z)], spec.add_many(m_[x, y], m_[x, z])):
-            raise ConsistencyError("multiplication does not distribute")
-
-    for table in (spec.place, spec.sums, spec.mul_table, spec.neg_table, spec.eps_num):
-        table.setflags(write=False)
-
-
-def _walk_tiles(table: np.ndarray) -> bool:
-    """Whether the table is symmetric, from one walk over its tile pairs
-    (i <= j) as ``_validate_ring`` describes; once it is not, only the
-    range is checked.  An entry out of range raises at once."""
-    n = len(table)
-    symmetric = True
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            upper = table[i : i + _TILE, j : j + _TILE]
-            mirror = table[j : j + _TILE, i : i + _TILE].T.copy()
-            same = symmetric and np.array_equal(upper, mirror)
-            if upper.max() >= n or (not same and mirror.max() >= n):
-                raise ConsistencyError("table shape or range is off")
-            symmetric = same
-    return symmetric
-
-
-def _sampled_triples(n: int) -> np.ndarray:
-    """The seeded triples (x, y, z), as rows x, y and z, on which the
-    triple laws of a ring of n elements are checked past
-    ``EXHAUSTIVE_TRIPLE_LIMIT``: stdlib random bytes read as uint32
-    words, each reduced mod n."""
-    words = random.Random(_TRIPLE_SEED).randbytes(12 * _TRIPLE_SAMPLES)
-    return (np.frombuffer(words, "<u4") % n).astype(np.intp).reshape(3, _TRIPLE_SAMPLES)
+    for name in ("structure", "eps_num", *_DERIVED):
+        getattr(spec, name).setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +518,6 @@ def indices_of(rows, base: int) -> np.ndarray:
     """Inverse of ``digits``: the index of each coordinate row."""
     rows = np.asarray(rows, dtype=np.int64)
     return rows @ base ** np.arange(rows.shape[-1], dtype=np.int64)
-
-
-def lookup(table: np.ndarray, x, y) -> np.ndarray:
-    """``table[x, y]`` for broadcasting index arrays, gathered through one
-    flat intp index: numpy takes a slow path on a 2-D gather whose index
-    arrays are not intp, such as the values of another table."""
-    return table.ravel()[np.add(np.multiply(x, len(table), dtype=np.intp), y)]
 
 
 def index_span(ring: RingSpec, width: int, items, start=None) -> tuple[np.ndarray, list[int]]:
@@ -584,13 +560,15 @@ class Ideal:
     span as ``index_span`` walks ``indices``, at most log2 |I| of them:
     they generate (I, +) and, I being closed under scalars, I over R.
     Every ideal routine reads them.  Building an ideal checks that it is
-    one (``_check_ideal``)."""
+    one (``_check_ideal``); a caller that has already walked ``indices``
+    with ``index_span`` hands in the growers as ``spanning``, and then
+    only closure under scalars is left to check."""
 
-    def __init__(self, ring: RingSpec, indices):
+    def __init__(self, ring: RingSpec, indices, spanning=None):
         self.ring = ring
         self.indices = np.unique(np.asarray(indices, dtype=np.int64))
         self.indices.setflags(write=False)
-        self.spanning = _check_ideal(ring, self.indices)
+        self.spanning = _check_ideal(ring, self.indices, spanning)
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -605,9 +583,16 @@ class Ideal:
 
 def ideal_span(ring: RingSpec, generators) -> Ideal:
     """Smallest ideal containing the generators: the additive span of
-    all ring multiples of them."""
-    elems, _ = index_span(ring, 1, ring.mul_table[:, list(generators)].T)
-    return Ideal(ring, elems)
+    all ring multiples of them.  The multiples R g of one generator form
+    an ideal, so then the walk over them, sorted, is the walk over the
+    ideal and gives ``spanning``; the ideal is walked again only when the
+    multiples fall short of it."""
+    gens = np.asarray(generators, dtype=np.intp)
+    items = np.unique(ring.mul_many(np.arange(ring.size)[:, None], gens)).astype(np.int64)
+    group, grew = index_span(ring, 1, items)
+    if group.size != items.size:
+        items, grew = group, index_span(ring, 1, group)[1]
+    return Ideal(ring, group, items[grew])
 
 
 def nilradical(ring: RingSpec) -> Ideal:
@@ -621,7 +606,7 @@ def _nilpotent(ring: RingSpec, elems: np.ndarray) -> np.ndarray:
     of them at once."""
     p = elems
     for _ in range(max(1, (ring.size - 1).bit_length())):
-        p = lookup(ring.mul_table, p, p)
+        p = ring.mul_many(p, p)
     return p == ring.zero
 
 
@@ -643,7 +628,7 @@ def nilpotency_index(ideal: Ideal) -> int:
     gens = spanning
     h = 1
     while gens.size:
-        products = ring.mul_table[np.ix_(gens, spanning)].ravel()
+        products = ring.mul_many(gens[:, None], spanning).ravel()
         gens = products[index_span(ring, 1, products)[1]]
         h += 1
         if h > ring.size + 1:
@@ -651,18 +636,20 @@ def nilpotency_index(ideal: Ideal) -> int:
     return h
 
 
-def _check_ideal(ring: RingSpec, elems: np.ndarray) -> np.ndarray:
+def _check_ideal(ring: RingSpec, elems: np.ndarray, spanning=None) -> np.ndarray:
     """The read-only ``spanning`` set of the sorted distinct ``elems``,
     once they are shown to form an ideal: they equal the additive span
-    of that set, and hold r g for every r and each g in it.  Then they
-    hold every r (c_1 g_1 + ... + c_t g_t) = c_1 r g_1 + ... + c_t r g_t."""
+    of that set (unless it is given), and hold W_i g for each W_i and
+    each g in it, so every r g = d_0(r) W_0 g + d_1(r) W_1 g + ... and
+    every r (c_1 g_1 + ... + c_t g_t) = c_1 r g_1 + ... + c_t r g_t."""
     if not (elems == ring.zero).any():
         raise ConsistencyError("ideal is missing zero")
-    group, grew = index_span(ring, 1, elems)
-    if not np.array_equal(group, elems):
-        raise ConsistencyError("ideal is not additively closed")
-    spanning = elems[grew]
-    if not _contains(elems, ring.mul_table[:, spanning].ravel()).all():
+    if spanning is None:
+        group, grew = index_span(ring, 1, elems)
+        if not np.array_equal(group, elems):
+            raise ConsistencyError("ideal is not additively closed")
+        spanning = elems[grew]
+    if not _contains(elems, ring.mul_many(ring.weights()[:, None], spanning).ravel()).all():
         raise ConsistencyError("ideal is not closed under ring multiples")
     spanning.setflags(write=False)
     return spanning

@@ -78,6 +78,20 @@ class PhaseSpace:
         mat.setflags(write=False)
         return mat
 
+    @cached_property
+    def form_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, bool]:
+        """The terms v_p b w_q of the form summed over all sites, one for
+        each non-zero entry b of the site form: the coordinates p and q,
+        the entries b, whether any b is other than one, and whether p and
+        q both run over every coordinate in order (a diagonal form)."""
+        ring, k = self.ring, self.k
+        terms = [(site * k + p, site * k + q, b) for site in range(self.n)
+                 for p, row in enumerate(self.form) for q, b in enumerate(row) if b != ring.zero]
+        p, q, b = map(np.array, zip(*terms))
+        every = np.arange(self.rank)
+        return (p, q, b, bool((b != ring.one).any()),
+                np.array_equal(p, every) and np.array_equal(q, every))
+
     def zero_vector(self) -> Vector:
         return (self.ring.zero,) * self.rank
 
@@ -93,8 +107,7 @@ class PhaseSpace:
         return tuple(int(neg[a]) for a in v)
 
     def scalar_vec(self, r: int, v: Vector) -> Vector:
-        mul = self.ring.mul_table
-        return tuple(int(mul[r, a]) for a in v)
+        return tuple(self.ring.mul(r, a) for a in v)
 
 
 def identity_form(ring: RingSpec, k: int) -> tuple[tuple[int, ...], ...]:
@@ -148,12 +161,11 @@ def _check_carrier(ring: RingSpec, k: int, n: int) -> None:
 def _check_perfect(ring: RingSpec, k: int, form: tuple[tuple[int, ...], ...]) -> None:
     m = ring.size
     site = digits(np.arange(m**k), m, k)
-    mul = ring.mul_table
     nonzero_row = np.zeros(m**k, dtype=bool)
     for q in range(k):
         acc = np.full(m**k, ring.zero, dtype=np.int64)
         for p in range(k):
-            acc = ring.add_many(acc, mul[site[:, p], form[p][q]])
+            acc = ring.add_many(acc, ring.mul_many(site[:, p], form[p][q]))
         nonzero_row |= acc != ring.zero
     kernel = np.flatnonzero(~nonzero_row)
     if kernel.size != 1:
@@ -175,9 +187,10 @@ def form_eval(space: PhaseSpace, v: Vector, w: Vector) -> int:
             vp = v[base + p]
             if vp == ring.zero:
                 continue
-            row = space.form[p]
-            for q in range(k):
-                total = ring.add(total, ring.mul(ring.mul(vp, row[q]), w[base + q]))
+            for q, coeff in enumerate(space.form[p]):
+                if coeff != ring.zero:
+                    x = vp if coeff == ring.one else ring.mul(vp, coeff)
+                    total = ring.add(total, ring.mul(x, w[base + q]))
     return total
 
 
@@ -192,23 +205,29 @@ def form_many(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 
 def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """form(left, right) over the last axis, broadcasting the others, in
-    n*k^2 table gathers; the result holds ring element indices.  A perfect
-    form has a non-zero entry, so the first term starts the sum."""
+    """form(left, right) over the last axis, broadcasting the others, as
+    ring element indices.  The ``form_terms`` go on a new last axis, a
+    batch of about BLOCK entries at a time: one ``mul_many`` for the
+    coefficients other than one, one for the products, and the batch is
+    summed by halves in about log2 of its length ``add_many`` calls.  A
+    perfect form has a non-zero entry, so there is a first term."""
     ring = space.ring
-    mul = ring.mul_table
-    k = space.k
+    p, q, b, scaled, diagonal = space.form_terms
+    batch = max(1, BLOCK // max(1, np.broadcast(left[..., 0], right[..., 0]).size))
     out = None
-    for site in range(space.n):
-        base = site * k
-        for p in range(k):
-            for q in range(k):
-                b = space.form[p][q]
-                if b == ring.zero:
-                    continue
-                x = left[..., base + p] if b == ring.one else mul[left[..., base + p], b]
-                term = mul[x, right[..., base + q]]
-                out = term if out is None else ring.add_many(out, term)
+    for start in range(0, len(b), batch):
+        at = slice(start, start + batch)
+        x, y = (left[..., at], right[..., at]) if diagonal else (left[..., p[at]], right[..., q[at]])
+        if scaled:
+            x = ring.mul_many(x, b[at])
+        values = ring.mul_many(x, y)
+        count = values.shape[-1]
+        while count > 1:
+            half = (count + 1) // 2
+            values[..., : count - half] = ring.add_many(values[..., : count - half],
+                                                        values[..., half:count])
+            count = half
+        out = values[..., 0] if out is None else ring.add_many(out, values[..., 0])
     return out
 
 
@@ -344,7 +363,8 @@ def _span(space: PhaseSpace, generators, doubled: bool, r_closed: bool) -> Submo
     ring = space.ring
     rows = np.asarray(gens, dtype=np.int64).reshape(-1, width)
     if r_closed:
-        rows = ring.mul_table[:, rows].reshape(-1, width)
+        # r g is the sum of the d_i(r) W_i g: the W_i g span the R-span.
+        rows = ring.mul_many(ring.weights()[:, None, None], rows).reshape(-1, width)
     group, _ = index_span(ring, width, indices_of(rows, ring.size))
     return Submodule(space, gens, group, doubled=doubled, r_closed=r_closed)
 
@@ -470,12 +490,16 @@ def submodule_levels(space: PhaseSpace, *, doubled: bool = False,
 
     # Rx = Ry iff y = u*x for a unit u (units of R / ann(x) lift to a
     # finite ring), so the least index of each unit orbit names Rx once.
+    # The units are the rows holding one, read a block of rows at a time.
     coords = digits(np.arange(ambient_size), m, width)
     least = np.arange(ambient_size)
-    for u in np.flatnonzero((ring.mul_table == ring.one).any(axis=1)):
-        np.minimum(least, indices_of(ring.mul_table[u][coords], m), out=least)
+    elems, rows = np.arange(m), max(1, BLOCK // m)
+    units = np.concatenate([(ring.mul_many(elems[i : i + rows, None], elems) == ring.one).any(axis=1)
+                            for i in range(0, m, rows)])
+    for u in np.flatnonzero(units):
+        np.minimum(least, indices_of(ring.mul_many(u, coords), m), out=least)
     reps = np.flatnonzero(least == np.arange(ambient_size))
-    multiples = indices_of(ring.mul_table[:, coords[reps]], m)
+    multiples = indices_of(ring.mul_many(elems[:, None, None], coords[reps]), m)
 
     # Vectors add by index d coordinates at a time, for the largest d
     # dividing the width with |R|^d <= 256, through the sumset vectors of

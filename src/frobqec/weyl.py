@@ -60,11 +60,6 @@ class WeylElement:
         return (self.shift, self.phase)
 
 
-def identity_element(space: PhaseSpace) -> WeylElement:
-    z = space.zero_vector()
-    return WeylElement(TURN_ZERO, z, z)
-
-
 def weyl_element(space: PhaseSpace, turn: Turn, shift: Vector, phase: Vector) -> WeylElement:
     _check_vector(space, tuple(shift))
     _check_vector(space, tuple(phase))

@@ -13,8 +13,8 @@ def vectors(space):
 
 
 def apply_by_hand(space, g, v):
-    """Reference for ``analysis.apply_matrix_blockwise``: the k x k matrix
-    g applied to each k-block of v, one ring operation at a time."""
+    """Reference: the k x k matrix g applied to each k-block of v, one
+    ring operation at a time."""
     ring, k = space.ring, space.k
     out = []
     for base in range(0, len(v), k):

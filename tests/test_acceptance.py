@@ -77,7 +77,7 @@ def _doubled_context(space):
     coords = (np.arange(total, dtype=np.int64)[:, None] // powers[None, :]) % m
     add_idx = (space.ring.add_many(coords[:, None, :], coords[None, :, :]) * powers).sum(axis=2)
     scal_idx = np.stack(
-        [(space.ring.mul_table[r][coords] * powers).sum(axis=1) for r in space.ring.elements()]
+        [(space.ring.mul_many(r, coords) * powers).sum(axis=1) for r in space.ring.elements()]
     )
     half = space.rank
     cross = space.ring.eps_num[form_many(space, coords[:, half:], coords[:, :half])]
@@ -164,7 +164,7 @@ def test_criterion_01_chain_ring_worked_example(f2u):
     started = time.perf_counter()
     space = std_space(f2u, 2, 2)
     u = f2u.element_from_doc([0, 1])
-    ucoords = f2u.mul_table[u][space.coords]
+    ucoords = f2u.mul_many(u, space.coords)
     layer_trivial = not pairing_turn_numerators(space, ucoords, ucoords).any()
 
     e1, e2 = _unit(space, 0), _unit(space, 1)

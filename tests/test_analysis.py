@@ -52,7 +52,7 @@ from frobqec import (
     weyl_element,
 )
 from frobqec import analysis, cli, spaces, weyl
-from frobqec.analysis import _protection_scans, apply_matrix_blockwise
+from frobqec.analysis import _protection_scans
 
 from conftest import apply_by_hand, std_space, vectors
 
@@ -422,12 +422,6 @@ def test_malformed_matrices_and_vectors_are_refused(z4_line):
               (("1",),)):
         with pytest.raises(InvalidInputError):
             isometry_action(z4_line, g, code)
-        with pytest.raises(InvalidInputError):
-            apply_matrix_blockwise(z4_line, g, (1,))
-    for v in ((9,), (-1,), (4,), (1, 4), (1.0,)):
-        with pytest.raises(InvalidInputError):
-            apply_matrix_blockwise(z4_line, ((1,),), v)
-    assert apply_matrix_blockwise(z4_line, ((3,),), (1, 2)) == (3, 2)
 
 
 SEED = 20261018
@@ -468,18 +462,6 @@ def test_column_search_matches_brute_force_in_scan_order(name):
     site = list(vectors(space))
     for g, perm in zip(oracle, group.permutations.tolist()):
         assert perm == [space.vector_index(apply_by_hand(space, g, v)) for v in site]
-    # The blockwise action takes any matrix, on plain and doubled vectors.
-    rng = random.Random(SEED)
-    m, k = space.ring.size, space.k
-    tried = 0
-    while tried < 20:
-        g = tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k))
-        if g in oracle:
-            continue
-        tried += 1
-        for width in (k, 2 * k):
-            v = tuple(rng.randrange(m) for _ in range(width))
-            assert apply_matrix_blockwise(space, g, v) == apply_by_hand(space, g, v)
 
 
 def test_isometry_check_catches_a_tampered_search(f2u_plane, monkeypatch):

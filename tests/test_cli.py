@@ -600,6 +600,101 @@ def test_code_commands_fuzz(case):
     assert len(err.getvalue()) < len(text) + 200
 
 
+_STABILISER_FAMILIES = [
+    {"family": "zm", "m": 2}, {"family": "zm", "m": 3}, {"family": "zm", "m": 4},
+    {"family": "chain", "m": 2, "e": 2},
+    {"family": "product", "factors": [{"family": "zm", "m": 2}, {"family": "zm", "m": 3}]},
+]
+_TURNS = st.one_of(st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 12)),
+                   st.integers(-3, 3).map(str))
+_BAD_TURNS = ["x", "1/0", "1/2/3", "", 5, None]
+_BAD_STABILISERS = [5, [], {}, {"generators": 5}, {"generators": [5]},
+                    {"generators": [{"a": [0]}]}, {"generators": [], "x": 1}]
+# Z_2 with n = 9: the unit generators span 2^18 labels, past the group
+# bound, and the doubled space has 2^18 vectors, past the census bound.
+_PAST_BOUND = 9
+
+
+def _unit_stabiliser(n):
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    zero = [0] * n
+    return [{"a": u, "b": zero} for u in units] + [{"a": zero, "b": u} for u in units]
+
+
+@st.composite
+def _stabiliser_scenarios(draw):
+    kind = draw(st.sampled_from(["valid", "long", "malformed", "document", "bound"]))
+    family = draw(st.sampled_from(_STABILISER_FAMILIES[:1] if kind == "bound"
+                                  else _STABILISER_FAMILIES))
+    size = frobqec.rings.family_size(family)
+    n = _PAST_BOUND if kind == "bound" else draw(st.integers(1, 3 if size == 2 else 1))
+    vector = st.lists(_any_element(family), min_size=n, max_size=n)
+    generator = st.fixed_dictionaries({"a": vector, "b": vector}, optional={"turn": _TURNS})
+    gens = draw(st.lists(generator, min_size=200 if kind == "long" else 0,
+                         max_size=400 if kind == "long" else 3))
+    if kind == "malformed":
+        bad = st.one_of(
+            st.fixed_dictionaries({"a": st.sampled_from(_BAD_VECTORS), "b": vector}),
+            st.fixed_dictionaries({"a": vector, "b": vector, "turn": st.sampled_from(_BAD_TURNS)}))
+        gens = draw(st.permutations(gens + [draw(bad)]))
+    elif kind == "bound":
+        gens = _unit_stabiliser(n)
+    stabiliser = (draw(st.sampled_from(_BAD_STABILISERS)) if kind == "document"
+                  else {"generators": gens})
+    cap = draw(st.integers(-2, 2 * size ** (2 * n)))
+    command = draw(st.sampled_from(["stabiliser", "census"]))
+    return command, kind, cap, {"ring": family, "space": {"k": 1, "n": n},
+                                "stabiliser": stabiliser}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_stabiliser_scenarios())
+@example(("stabiliser", "long", 64, {"ring": _STABILISER_FAMILIES[2], "space": {"k": 1, "n": 1},
+                                     "stabiliser": {"generators": [{"a": [i], "b": [3 * i]}
+                                                                   for i in range(300)]}}))
+@example(("stabiliser", "malformed", 64, {"ring": _STABILISER_FAMILIES[4],
+                                          "space": {"k": 1, "n": 1},
+                                          "stabiliser": {"generators": [{"a": [[1, 2]], "b": [3]}]}}))
+@example(("stabiliser", "bound", 64, {"ring": _STABILISER_FAMILIES[0],
+                                      "space": {"k": 1, "n": _PAST_BOUND},
+                                      "stabiliser": {"generators": _unit_stabiliser(_PAST_BOUND)}}))
+@example(("census", "bound", 8, {"ring": _STABILISER_FAMILIES[0],
+                                 "space": {"k": 1, "n": _PAST_BOUND}}))
+@example(("census", "valid", 0, {"ring": _STABILISER_FAMILIES[1], "space": {"k": 1, "n": 1}}))
+@example(("census", "valid", 64, {"ring": _STABILISER_FAMILIES[0], "space": {"k": 1, "n": 3}}))
+@example(("stabiliser", "document", 64, {"ring": _STABILISER_FAMILIES[3],
+                                         "space": {"k": 1, "n": 1},
+                                         "stabiliser": _BAD_STABILISERS[5]}))
+def test_stabiliser_and_census_fuzz(case):
+    # Small rings and products.  A malformed stabiliser document, vector
+    # or turn, or a census cap below one, is refused with one line; a
+    # census past the enumeration bound ends in a resource bound, and so
+    # does a group past the group bound, which many turns of small
+    # denominators can also reach; everything else gets a verdict.  The
+    # census reads the stabiliser document's shape only.
+    command, kind, cap, doc = case
+    text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "scenario.json")
+        with open(path, "w") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            extra = ["--max-elems", str(cap)] if command == "census" else []
+            code = main([command, "--scenario", path, "--json", *extra])
+    if kind == "document" or (kind == "malformed" if command == "stabiliser" else cap < 1):
+        assert code == 2 and err.getvalue().startswith("error: ")
+    elif kind == "bound" or code == 3 and command == "stabiliser":
+        assert code == 3 and err.getvalue().startswith("resource bound: ")
+    else:
+        assert code in ((0, 1) if command == "stabiliser" else (0,))
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+        return
+    assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    assert len(err.getvalue()) < len(text) + 200
+
+
 def test_oversized_ring_is_a_resource_bound(tmp_path, capsys):
     doc = {"ring": {"family": "zm", "m": 4097}}
     code, _, err = _run(capsys, "ring", "--scenario", _write(tmp_path, doc))

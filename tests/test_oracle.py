@@ -26,7 +26,6 @@ from frobqec import (
     commutator,
     enumerate_submodules,
     group_closure,
-    identity_element,
     is_isotropic,
     make_product,
     make_space,
@@ -49,9 +48,14 @@ U = 2
 T0 = Turn()
 
 
+def _identity(space):
+    z = space.zero_vector()
+    return weyl_element(space, T0, z, z)
+
+
 def test_identity_acts_trivially(z4_line):
     state = np.arange(4, dtype=complex) + 1
-    out = apply_weyl(z4_line, identity_element(z4_line), state)
+    out = apply_weyl(z4_line, _identity(z4_line), state)
     assert np.allclose(out, state, atol=1e-12)
 
 
@@ -245,7 +249,7 @@ def test_commutation_check_is_guarded_and_stays_small(z2):
     assert peak < 4 << 20
     big = std_space(z2, 1, 13)
     with pytest.raises(ResourceLimitError):
-        numeric_commutation_check(big, identity_element(big), identity_element(big))
+        numeric_commutation_check(big, _identity(big), _identity(big))
 
 
 def test_commuting_pair_agrees_to_machine_precision(z4_line):
@@ -380,7 +384,7 @@ def test_projector_bounds_refuse_before_the_monomials(z2):
         projector_rank(small, s)
     big = std_space(z2, 1, 13)
     with pytest.raises(ResourceLimitError):
-        projector_rank(big, group_closure(big, [identity_element(big)]))
+        projector_rank(big, group_closure(big, [_identity(big)]))
 
 
 def test_projector_is_idempotent_and_fixed(z4_line, f2u_line):
@@ -461,12 +465,12 @@ def test_oracle_runs_without_the_exact_form_kernel(request, monkeypatch, ring_na
 def test_apply_weyl_guards(z2, z4, z4_line):
     big = std_space(z2, 1, 13)
     with pytest.raises(ResourceLimitError):
-        apply_weyl(big, identity_element(big), np.zeros(big.size, dtype=complex))
+        apply_weyl(big, _identity(big), np.zeros(big.size, dtype=complex))
     wide = std_space(z4, 1, 5)
     with pytest.raises(ResourceLimitError):
-        weyl_matrix(wide, identity_element(wide))
+        weyl_matrix(wide, _identity(wide))
     with pytest.raises(InvalidInputError):
-        apply_weyl(z4_line, identity_element(z4_line), np.zeros(3, dtype=complex))
+        apply_weyl(z4_line, _identity(z4_line), np.zeros(3, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

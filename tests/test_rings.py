@@ -72,8 +72,8 @@ def test_chain_of_length_one_is_zm():
     a = make_chain_ring(5, 1)
     b = make_zm(5)
     assert a.radices == b.radices == (5,)
-    assert np.array_equal(a.place, b.place) and np.array_equal(a.sums, b.sums)
-    assert np.array_equal(a.mul_table, b.mul_table)
+    for name in ("structure", "place", "sums", "lo_of", "hi_of", "mul_lo", "mul_hi"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(a.eps_num, b.eps_num) and a.eps_den == b.eps_den
 
 
@@ -106,14 +106,6 @@ def test_product_is_crt_isomorphic_to_z6(z6):
             assert to_pair[plain.mul(x, y)] == z6.mul(to_pair[x], to_pair[y])
     assert to_pair[plain.one] == z6.one
     assert verify_generating_character(z6)
-
-
-def test_sampled_triple_validation_path():
-    # Past 256 elements the associativity sweep samples; the build must
-    # still succeed and produce a generating character.
-    ring = make_zm(1024)
-    assert ring.size == 1024
-    assert verify_generating_character(ring)
 
 
 def test_halved_character_is_not_generating(z4):
@@ -262,7 +254,7 @@ def test_index_span_properties(data):
     r_closed = data.draw(st.booleans())
     rows = digits(items, ring.size, width)
     if r_closed:
-        rows = ring.mul_table[:, rows].reshape(-1, width)
+        rows = ring.mul_many(np.arange(ring.size)[:, None, None], rows).reshape(-1, width)
     feed = indices_of(rows, ring.size).tolist()
     group, grew = index_span(ring, width, feed)
     assert (ring.size**width) % group.size == 0
@@ -275,7 +267,7 @@ def test_index_span_properties(data):
     sums = ring.add_many(coords[:, None, :], coords[None, :, :]).reshape(-1, width)
     assert np.isin(indices_of(sums, ring.size), group).all()
     if r_closed:
-        scaled = ring.mul_table[:, coords].reshape(-1, width)
+        scaled = ring.mul_many(np.arange(ring.size)[:, None, None], coords).reshape(-1, width)
         assert np.isin(indices_of(scaled, ring.size), group).all()
     shuffled = data.draw(st.permutations(feed))
     assert np.array_equal(index_span(ring, width, shuffled)[0], group)
@@ -312,8 +304,9 @@ def test_index_span_matches_the_walk_by_hand(ring, width):
         items = ([size // 4, 6 % size, 3 % size] if trial == 0
                  else [rng.randrange(size) for _ in range(rng.randrange(1, 5))])
         if rng.random() < 0.5:  # multiples of the first item, and zero
-            items += [int(indices_of(ring.mul_table[rng.randrange(ring.size)][
-                digits(items[0], ring.size, width)], ring.size)[0]), 0]
+            items += [int(indices_of(ring.mul_many(rng.randrange(ring.size),
+                                                   digits(items[0], ring.size, width)),
+                                     ring.size)[0]), 0]
         group, grew = index_span(ring, width, items)
         assert (group.tolist(), grew) == _index_span_by_hand(ring, width, items)
 
@@ -507,75 +500,123 @@ def test_tables_match_the_int64_reference(case):
     ring = _build_ring(case)
     size, rows, neg, eps_num, eps_den = _reference_ring(case)
     assert ring.size == size
-    assert ring.sums.dtype == ring.mul_table.dtype == np.uint16
+    assert ring.sums.dtype == ring.mul_many(0, 0).dtype == np.uint16
     for start in range(0, size, _REFERENCE_ROWS):
         stop = min(start + _REFERENCE_ROWS, size)
         add, mul = rows(start, stop)
         assert np.array_equal(ring.add_many(np.arange(start, stop)[:, None], np.arange(size)), add)
-        assert np.array_equal(ring.mul_table[start:stop], mul)
+        assert np.array_equal(ring.mul_many(np.arange(start, stop)[:, None], np.arange(size)), mul)
     assert np.array_equal(ring.neg_table, neg)
     assert np.array_equal(ring.eps_num, eps_num) and ring.eps_den == eps_den
-    for table in (ring.place, ring.sums, ring.mul_table, ring.neg_table, ring.eps_num):
-        assert not table.flags.writeable
+    for name in _TABLES:
+        assert not getattr(ring, name).flags.writeable
+
+
+_TABLES = ("structure", "place", "sums", "lo_of", "hi_of", "mul_lo", "mul_hi", "neg_table",
+           "eps_num")
+
+
+@pytest.mark.parametrize("case, halves", [
+    (("chain", 4, 6), (64, 64)), (("chain", 2, 12), (64, 64)), (("zm", 4096), (64, 64)),
+    (("product", ("zm", 64), ("chain", 4, 3)), (64, 64)), (("zm", 1031), (28, 37)),
+    (("chain", 3, 7), (27, 81)), (("product", ("zm", 2), ("zm", 2039)), (60, 68)),
+], ids=lambda c: repr(c).replace(" ", ""))
+def test_split_halves_are_near_the_square_root(case, halves):
+    # y = lo + h with no digit wrapping, lo = lo_of[y] below n_lo and h
+    # numbered hi_of[y] below n_hi, with n_lo + n_hi as small as a cut at
+    # one digit, or inside it, allows.
+    ring = _build_ring(case)
+    assert (ring.mul_lo.shape[1], ring.mul_hi.shape[1]) == halves
+    y = np.arange(ring.size)
+    high = y - ring.lo_of
+    assert ring.lo_of.max() < halves[0] and ring.hi_of.max() < halves[1]
+    assert np.array_equal(ring.add_many(ring.lo_of, high), y)
+    numbered = np.zeros(halves[1], dtype=np.int64)
+    numbered[ring.hi_of] = high
+    assert np.array_equal(numbered[ring.hi_of], high)
+    assert len(set(zip(ring.lo_of.tolist(), ring.hi_of.tolist()))) == ring.size
 
 
 def _tampered(ring, name, entries):
-    """A copy of the ring with x op y := value for each {(x, y): value}:
-    the product for ``mul_table``, set symmetrically, or the sum for
-    ``sums``, set at the position place[x] + place[y], which y + x and
-    every other pair of that position share."""
+    """A copy of the ring with one table changed at each {at: value}: the
+    structure constants S[i][j] = W_i W_j, set symmetrically, an entry of
+    a half table, or the sum for ``sums``, set at the position
+    place[x] + place[y], which y + x and every other pair of that position
+    share."""
     table = getattr(ring, name).copy()
     for (x, y), value in entries.items():
         if name == "sums":
             table[ring.place[x] + ring.place[y]] = value
-        else:
+        elif name == "structure":
             table[x, y] = table[y, x] = value
+        else:
+            table[x, y] = value
     return dataclasses.replace(ring, **{name: table})
+
+
+def _rebuilt(ring, structure):
+    """A copy of the ring whose tables are derived from these structure
+    constants, so that only the laws of the product can fail."""
+    structure = np.array(structure, dtype=np.intp)
+    derived = rings._derive(ring.radices, structure)
+    return dataclasses.replace(ring, structure=structure,
+                               **{name: derived[name] for name in rings._DERIVED})
 
 
 @pytest.mark.parametrize(
     "name, pair, message",
     [("sums", (1, 2), "sumset vector is wrong"),
-     ("mul_table", (2, 3), "multiplication is not associative")],
+     ("structure", (1, 2), "multiplication is not associative")],
 )
 def test_exhaustive_sweep_catches_one_broken_entry(name, pair, message):
-    # chain(2, 8) has 256 elements, the largest size the sweep covers.
-    # 1 + u, or u(1 + u), becomes 0: the character reads only the top
-    # coefficient, which neither changes.  The wrong sum is caught by the
-    # sumset check; the wrong product passes every pairwise check, and
-    # is caught by the triple sweep.
-    ring = make_chain_ring(2, 8)
+    # chain(2, 12) has 4096 elements, the largest size: every law is
+    # proven there as at every size.  1 + u becomes 0, or u u^2 = u^3
+    # becomes 0: the wrong sum is caught by the sumset check, the wrong
+    # structure constant keeps S symmetric, 2 S = 0 and the identity, but
+    # (u u) u^2 = u^4 while u (u u^2) = 0.
+    ring = make_chain_ring(2, 12)
     with pytest.raises(ConsistencyError, match=message):
         rings._validate_ring(_tampered(ring, name, {pair: 0}))
 
 
-def _first_broken_law(ring, zs=None):
-    """Reference: the message of the first law of ``_validate_ring``, in
-    its order, that fails by brute force over all pairs and all triples
-    (x, y, z), z in ``zs`` (default: every element), or None.  The sumset
-    check proves the laws of addition, so none of them is here."""
+def _product_table(ring):
+    idx = np.arange(ring.size)
+    return ring.mul_many(idx[:, None], idx).tolist()
+
+
+def _broken_laws(ring, zs=None):
+    """Reference: the messages of the laws of ``_validate_ring``, in its
+    order, that fail by brute force over all pairs and all triples
+    (x, y, z), z in ``zs`` (default: every element), for the product that
+    ``mul_many`` reads.  The sumset check proves the laws of addition, so
+    none of them is here."""
     elems = range(ring.size)
     pairs = list(itertools.product(elems, repeat=2))
     triples = list(itertools.product(elems, elems, elems if zs is None else zs))
     a = ring.add_many(np.arange(ring.size)[:, None], np.arange(ring.size)).tolist()
-    m, neg = ring.mul_table.tolist(), ring.neg_table.tolist()
+    m, neg = _product_table(ring), ring.neg_table.tolist()
     eps, den = ring.eps_num.tolist(), ring.eps_den
     laws = [
         ("zero is not an additive identity", lambda: all(a[ring.zero][x] == x for x in elems)),
         ("negation table is wrong", lambda: all(a[x][neg[x]] == ring.zero for x in elems)),
+        ("multiplication does not distribute",
+         lambda: all(m[x][a[y][z]] == a[m[x][y]][m[x][z]]
+                     and m[a[x][y]][z] == a[m[x][z]][m[y][z]] for x, y, z in triples)),
         ("multiplication is not commutative", lambda: all(m[x][y] == m[y][x] for x, y in pairs)),
         ("one is not a multiplicative identity", lambda: all(m[ring.one][x] == x for x in elems)),
+        ("multiplication is not associative",
+         lambda: all(m[m[x][y]][z] == m[x][m[y][z]] for x, y, z in triples)),
         ("character numerators are not reduced mod the denominator",
          lambda: all(0 <= e < den for e in eps)),
         ("character is not additive",
          lambda: all((eps[a[x][y]] - eps[x] - eps[y]) % den == 0 for x, y in pairs)),
         ("character is not generating", lambda: _rows_differ(ring)),
-        ("multiplication is not associative",
-         lambda: all(m[m[x][y]][z] == m[x][m[y][z]] for x, y, z in triples)),
-        ("multiplication does not distribute",
-         lambda: all(m[x][a[y][z]] == a[m[x][y]][m[x][z]] for x, y, z in triples)),
     ]
-    return next((message for message, holds in laws if not holds()), None)
+    return [message for message, holds in laws if not holds()]
+
+
+def _first_broken_law(ring, zs=None):
+    return next(iter(_broken_laws(ring, zs)), None)
 
 
 def _addition_is_a_group(ring):
@@ -591,7 +632,7 @@ def _addition_is_a_group(ring):
 def _rows_differ(ring, columns=None):
     """Reference: whether the rows character(x * y), y in ``columns``
     (default: every element), are distinct, as a set of row tuples."""
-    m, eps, den = ring.mul_table.tolist(), ring.eps_num.tolist(), ring.eps_den
+    m, eps, den = _product_table(ring), ring.eps_num.tolist(), ring.eps_den
     columns = range(ring.size) if columns is None else columns
     return len({tuple(eps[m[x][y]] % den for y in columns) for x in range(ring.size)}) == ring.size
 
@@ -614,49 +655,54 @@ def _greedy_generators(ring):
     return gens
 
 
-# Generator sets of 1, 2 and 3 elements.  1 is S[0] of every chain and
-# Z_m, and (xy)1 = x(y1) holds in any table with 1 as identity, so only
-# the other generators can report a broken multiplicative associativity.
-_LIGHT_CASES = [("zm", 8), ("zm", 12), ("chain", 2, 3), ("chain", 3, 2),
-                ("product", ("zm", 4), ("zm", 3))]
+# Structure constants of 1, 2 and 3 generators, with radices equal and
+# mixed (Z_4 x Z_3 has radices 3 and 4).
+_LAW_CASES = [("zm", 8), ("zm", 12), ("chain", 2, 3), ("chain", 3, 2),
+              ("product", ("zm", 4), ("zm", 3))]
 _TAMPERS = 40
-_TRIPLE_LAWS = ("multiplication is not associative", "multiplication does not distribute")
 
 
-@pytest.mark.parametrize("name", ["sums", "mul_table"])
-@pytest.mark.parametrize("case", _LIGHT_CASES, ids=lambda c: repr(c).replace(" ", ""))
-def test_light_test_raises_exactly_when_a_law_breaks(case, name):
+@pytest.mark.parametrize("name", ["sums", "structure"])
+@pytest.mark.parametrize("case", _LAW_CASES, ids=lambda c: repr(c).replace(" ", ""))
+def test_validator_raises_exactly_when_a_law_breaks(case, name):
+    # A wrong structure constant, set on one side or both, with every
+    # other table derived from it: the validator raises iff some law of
+    # the product breaks over all pairs and triples, and names one that
+    # does.
     ring = _build_ring(case)
-    assert _first_broken_law(ring) is None and _addition_is_a_group(ring)
+    assert not _broken_laws(ring) and _addition_is_a_group(ring)
     rings._validate_ring(ring)
     rng = random.Random(f"{case}{name}")
-    op = ring.add if name == "sums" else ring.mul
+    k, outcomes = len(ring.radices), set()
     for _ in range(_TAMPERS):
-        x, y = rng.randrange(ring.size), rng.randrange(ring.size)
-        value = rng.choice([v for v in range(ring.size) if v != op(x, y)])
-        broken = _tampered(ring, name, {(x, y): value})
         if name == "sums":
+            x, y = rng.randrange(ring.size), rng.randrange(ring.size)
+            value = rng.choice([v for v in range(ring.size) if v != ring.add(x, y)])
+            broken = _tampered(ring, name, {(x, y): value})
             # Every wrong sum breaks a law of addition, and the sumset
             # check refuses it before any law is read.
             assert not _addition_is_a_group(broken)
             with pytest.raises(ConsistencyError, match="^sumset vector is wrong$"):
                 rings._validate_ring(broken)
             continue
-        message = _first_broken_law(broken)
-        if message in _TRIPLE_LAWS:
-            # Light's test: a triple law that fails somewhere fails with z
-            # a generator.  The message names the first that fails there,
-            # which need not be the first that fails somewhere.
-            message = _first_broken_law(broken, _greedy_generators(broken))
-            assert message in _TRIPLE_LAWS
-        if message is None:
+        i, j = rng.randrange(k), rng.randrange(k)
+        structure = ring.structure.copy()
+        structure[i, j] = rng.choice([v for v in range(ring.size) if v != structure[i, j]])
+        if rng.random() < 0.5:
+            structure[j, i] = structure[i, j]
+        broken = _rebuilt(ring, structure)
+        laws = _broken_laws(broken)
+        outcomes.add(bool(laws))
+        if not laws:
             rings._validate_ring(broken)
         else:
-            with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(ConsistencyError) as info:
                 rings._validate_ring(broken)
+            assert str(info.value) in laws
+    assert name == "sums" or True in outcomes
 
 
-# Both sides of EXHAUSTIVE_TRIPLE_LIMIT, with |S| from 1 to 9.
+# Generator counts |S| from 1 to 9, rings from 12 to 512 elements.
 _GENERATING_CASES = [
     (("zm", 12), 30), (("chain", 2, 3), 30), (("product", ("zm", 4), ("zm", 3)), 30),
     (("zm", 260), 6), (("chain", 2, 9), 4), (("product", ("chain", 2, 2), ("zm", 65)), 4),
@@ -690,16 +736,25 @@ def test_generating_refinement_matches_the_row_reference(case, tampers):
                                   ("zm", 260), ("chain", 2, 9)],
                          ids=lambda c: repr(c).replace(" ", ""))
 def test_generating_refinement_walks_past_the_generators(case):
-    # Rows x and x' made to agree on every generator s, by writing
-    # x*s := x'*s; they still differ on other columns, so the walk has
-    # to go past S to tell them apart.  No law is assumed along the way.
+    # Rows x and x' made to agree on every generator s, by writing the
+    # half-table entries that x * s reads with those of x' * s; they may
+    # still differ on other columns, and then the walk has to go past S to
+    # tell them apart.  No law is assumed along the way.
     ring = _build_ring(case)
     gens = ring.weights().tolist()
     rng = random.Random(repr(case))
-    x, other = rng.sample([v for v in ring.elements() if v not in gens], 2)
-    broken = _tampered(ring, "mul_table", {(x, s): ring.mul(other, s) for s in gens})
-    assert not _rows_differ(broken, gens)
-    assert _rows_differ(broken) and verify_generating_character(broken)
+    verdicts = set()
+    for _ in range(6):
+        x, other = rng.sample([v for v in ring.elements() if v not in gens], 2)
+        broken = ring
+        for name, part in (("mul_lo", ring.lo_of), ("mul_hi", ring.hi_of)):
+            table = getattr(ring, name)
+            broken = _tampered(broken, name, {(x, part[s]): table[other, part[s]] for s in gens})
+        assert not _rows_differ(broken, gens)
+        verdict = verify_generating_character(broken)
+        assert verdict == _rows_differ(broken)
+        verdicts.add(verdict)
+    assert True in verdicts
 
 
 def test_doubled_character_is_additive_but_not_generating():
@@ -726,34 +781,6 @@ def test_additive_generators_reach_every_element(case, count):
     assert _left_nested_sums(ring, gens) == set(ring.elements())
 
 
-@pytest.mark.parametrize("name, message", [("mul_table", "multiplication is not commutative")])
-@pytest.mark.parametrize(
-    "m, entry",
-    [(1020, (1019, 769)), (1020, (300, 10)), (1020, (1019, 1000)), (1155, (1154, 1153))],
-    ids=["short-tile", "off-diagonal", "short-corner", "Z1155-short-corner"],
-)
-def test_commutativity_tiles_reach_every_entry(name, message, m, entry):
-    # Z_1020 has tiles of 128 rows, the last of 124: (1019, 769) lies in
-    # a short tile below the diagonal, (1019, 1000) in the short corner
-    # tile, (300, 10) below the diagonal tiles.  Z_1155's last tile has 3.
-    ring = make_zm(m)
-    table = getattr(ring, name).copy()
-    table[entry] = (table[entry] + 1) % ring.size
-    with pytest.raises(ConsistencyError, match=message):
-        rings._validate_ring(dataclasses.replace(ring, **{name: table}))
-
-
-@pytest.mark.parametrize("name", ["mul_table"])
-def test_range_is_checked_in_the_mirror_tile(name):
-    # Out of range below the diagonal only: the pair is also asymmetric,
-    # but the range comes first, before any value is gathered through it.
-    ring = make_zm(1020)
-    table = getattr(ring, name).copy()
-    table[300, 10] = ring.size
-    with pytest.raises(ConsistencyError, match="^table shape or range is off$"):
-        rings._validate_ring(dataclasses.replace(ring, **{name: table}))
-
-
 BAD_VECTORS = [
     pytest.param("neg_table", [0, 3, 2, 9], id="negation-out-of-range"),
     pytest.param("neg_table", [0, 3, 2], id="short-negation"),
@@ -762,6 +789,9 @@ BAD_VECTORS = [
     pytest.param("place", [0.0, 1.0, 2.0, 3.0], id="float-place"),
     pytest.param("sums", [0, 1, 2, 3, 0, 1], id="short-sumset"),
     pytest.param("sums", [0, 1, 2, 3, 0, 1, 2, 3], id="long-sumset"),
+    pytest.param("structure", [[4]], id="structure-out-of-range"),
+    pytest.param("structure", [[1, 0]], id="short-structure"),
+    pytest.param("structure", [[1.0]], id="float-structure"),
 ]
 
 
@@ -801,6 +831,43 @@ def test_each_additive_tamper_has_its_own_error():
                         "radices do not multiply to the ring size", "character is not additive"}
 
 
+_PRODUCT_TAMPERS = [
+    # Z_2 x Z_3 has radices (3, 2): W_0 W_1 := W_0 has order 3, not 2.
+    (("product", ("zm", 2), ("zm", 3)), "structure", (0, 1), 1,
+     "multiplication does not distribute"),
+    (("chain", 2, 3), "structure", (0, 0), 0, "one is not a multiplicative identity"),
+    (("chain", 2, 12), "structure", (1, 2), 0, "multiplication is not associative"),
+    (("chain", 4, 6), "mul_lo", (4095, 63), 0, "half product table is wrong"),
+    (("chain", 4, 6), "mul_hi", (17, 1), 0, "half product table is wrong"),
+    (("zm", 1031), "lo_of", 1030, 0, "half product table is wrong"),
+    (("zm", 1031), "hi_of", 1030, 0, "half product table is wrong"),
+    (("chain", 2, 3), "neg_table", 1, 0, "negation table is wrong"),
+    (("zm", 4096), "eps_num", 4095, 0, "character is not additive"),
+]
+
+
+@pytest.mark.parametrize("case, name, at, value, message", _PRODUCT_TAMPERS,
+                         ids=lambda v: repr(v).replace(" ", "") if isinstance(v, tuple) else None)
+def test_each_product_tamper_has_its_own_error(case, name, at, value, message):
+    # One entry of the structure constants, set asymmetrically when the
+    # message is about symmetry and on both sides otherwise, or of a half
+    # table, a split vector, the negation or the character.
+    ring = _build_ring(case)
+    broken = (_tampered(ring, name, {at: value}) if name == "structure"
+              else dataclasses.replace(ring, **{name: _changed(getattr(ring, name), at, value)}))
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        rings._validate_ring(broken)
+
+
+def test_asymmetric_structure_is_not_commutative():
+    ring = make_chain_ring(2, 3)
+    structure = _changed(ring.structure, (0, 1), 0)
+    with pytest.raises(ConsistencyError, match="^multiplication is not commutative$"):
+        rings._validate_ring(_rebuilt(ring, structure))
+    with pytest.raises(ConsistencyError, match="^multiplication is not commutative$"):
+        rings._validate_ring(dataclasses.replace(ring, structure=structure))
+
+
 @pytest.mark.parametrize("build, at", [
     (lambda: make_zm(1020), 300), (lambda: make_zm(1020), 1019),
     (lambda: make_chain_ring(2, 8), 8), (lambda: make_chain_ring(4, 4), 255),
@@ -827,56 +894,30 @@ def test_character_must_vanish_on_the_radix_multiples(z4):
         rings._validate_ring(broken)
 
 
-@pytest.mark.parametrize("name", ["eps_num", "mul_table"])
+@pytest.mark.parametrize("name", ["eps_num"])
 def test_tile_walk_reports_the_first_broken_pairwise_law(name):
-    # Z_300 has three tiles a side.  One entry, or one entry and its
-    # mirror, takes a seeded value, out of range half the time; rows 0 and
-    # 1 are hit often, so the identity laws compete with the others.  A
-    # character value is moved, or left unreduced, at one element.
+    # A character value of Z_300 is moved, or left unreduced, at one
+    # element, rows 0 and 1 often; the validator names the first pairwise
+    # law that fails by brute force.
     ring = make_zm(300)
     rng = random.Random(f"tile walk {name}")
     table = getattr(ring, name)
-    bound = ring.size if name == "mul_table" else ring.eps_den
+    bound = ring.eps_den
     seen = set()
     for _ in range(16):
-        x, y = rng.choice([0, 1, rng.randrange(ring.size)]), rng.randrange(ring.size)
-        at = (x, y) if name == "mul_table" else x
-        value = rng.choice([bound, (int(table[at]) + rng.randrange(1, bound)) % bound])
-        if name == "mul_table" and rng.random() < 0.5:
-            broken = _tampered(ring, name, {(x, y): value})
-        else:
-            broken = dataclasses.replace(ring, **{name: _changed(table, at, value)})
-        if name == "mul_table" and value == ring.size:
-            message = "table shape or range is off"
-        else:
-            message = _first_broken_law(broken, zs=())
+        x = rng.choice([0, 1, rng.randrange(ring.size)])
+        value = rng.choice([bound, (int(table[x]) + rng.randrange(1, bound)) % bound])
+        broken = dataclasses.replace(ring, **{name: _changed(table, x, value)})
+        message = _first_broken_law(broken, zs=())
         seen.add(message)
-        if message is None:
-            # Only a triple law can fail now, and only on a sampled triple.
-            try:
-                rings._validate_ring(broken)
-            except ConsistencyError as exc:
-                assert str(exc) in _TRIPLE_LAWS
-        else:
-            with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-                rings._validate_ring(broken)
-    assert len(seen) >= (4 if name == "mul_table" else 2)
-
-
-def test_sampled_triples_catch_one_broken_entry():
-    # Past 256 elements only seeded triples are checked: break the
-    # product of the first sampled pair that avoids 0 and 1.
-    ring = make_zm(1020)
-    xs, ys, zs = rings._sampled_triples(ring.size)
-    x, y = next((x, y) for x, y, z in zip(xs, ys, zs) if min(x, y, z) > 1 and x != y)
-    broken = _tampered(ring, "mul_table", {(x, y): ring.add(ring.mul(x, y), 1)})
-    with pytest.raises(ConsistencyError, match="associative|distribute"):
-        rings._validate_ring(broken)
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            rings._validate_ring(broken)
+    assert len(seen) >= 2
 
 
 def test_builds_leave_numpy_random_unloaded():
-    # The sampled triples come from stdlib random: numpy.random would add
-    # about 14 ms and 6 MB to a fresh process that builds one large ring.
+    # No build reads random numbers: numpy.random would add about 14 ms
+    # and 6 MB to a fresh process that builds one large ring.
     code = ("import sys; from frobqec import make_chain_ring, make_zm; "
             "make_zm(1031); make_chain_ring(4, 6); print('numpy.random' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(rings.__file__).resolve().parent.parent))
@@ -885,17 +926,18 @@ def test_builds_leave_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("build", [lambda: make_chain_ring(4, 6), lambda: make_zm(4096)],
-                         ids=["chain(4,6)", "Z_4096"])
+@pytest.mark.parametrize("build", [
+    lambda: make_chain_ring(4, 6), lambda: make_zm(4096), lambda: make_chain_ring(2, 12),
+    lambda: make_product(make_zm(2), make_zm(2039)),
+], ids=["chain(4,6)", "Z_4096", "chain(2,12)", "Z_2xZ_2039"])
 def test_largest_builds_stay_compact(build):
-    # numpy reports its buffers to tracemalloc; int64 tables and their
-    # temporaries peaked at 512-641 MiB here.  The uint16 multiplication
-    # table takes 32 MiB, and addition reads a sumset vector of at most
-    # 3^12 entries, so a build that adds one |R|^2 uint16 temporary fails.
+    # numpy reports its buffers to tracemalloc.  The half tables take
+    # 4 MiB at 4096 elements and addition reads a sumset vector of at most
+    # 3^12 entries, so a build that holds one |R|^2 uint16 table fails.
     tracemalloc.start()
     try:
         build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 16 * 2**20
