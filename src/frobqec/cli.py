@@ -8,10 +8,11 @@ family notation (integers for zm, coefficient lists for chain rings,
 pairs for products).
 
 Exit codes: 0 for an affirmative verdict, 1 for a definite negative
-one, 2 for invalid input, 3 for a resource bound, 4 when the numeric
-oracle cannot decide (a pivot in the rank routine's dead band), 5 for
-an internal consistency failure.  Reports are plain text by default and
-stable JSON under --json.
+one, 2 for invalid input (an argv error also prints a usage line), 3 for
+a resource bound, 4 when the numeric oracle cannot decide (a pivot in
+the rank routine's dead band), 5 for an internal consistency failure.
+Every command but examples reads --scenario; --max-elems is for census
+only.  Reports are plain text by default and stable JSON under --json.
 """
 
 from __future__ import annotations
@@ -600,25 +601,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="frobqec",
         description="construct and check stabiliser codes over finite Frobenius rings",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if name == "census":
-            p.add_argument(
-                "--max-elems",
-                type=int,
-                default=DEFAULT_CENSUS_CAP,
-                help="largest submodule size to include",
-            )
-    examples = sub.add_parser("examples")
-    examples.add_argument("--json", action="store_true", help="emit a JSON report")
+    parser.add_argument("command", choices=[*_COMMANDS, "examples"])
+    parser.add_argument("--scenario", help="scenario JSON file (every command but examples)")
+    parser.add_argument("--json", action="store_true", help="emit a JSON report (every command)")
+    parser.add_argument("--max-elems", type=int, metavar="N", help="largest submodule size to "
+                        f"include (census only, default {DEFAULT_CENSUS_CAP})")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    needs_scenario = args.command != "examples"
+    if (args.scenario is not None) != needs_scenario:
+        parser.error(f"{args.command} {'requires' if needs_scenario else 'takes no'} --scenario")
+    if args.max_elems is None:
+        args.max_elems = DEFAULT_CENSUS_CAP
+    elif args.command != "census":
+        parser.error("--max-elems applies to census only")
     try:
         if args.command == "examples":
             code, report, lines = cmd_examples(args)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -309,6 +310,56 @@ def test_examples_command_json(capsys):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["code"],
+    ["examples", "--scenario", "x"],
+    ["code", "--scenario", "SCENARIO", "--max-elems", "4"],
+    ["census", "--scenario", "SCENARIO", "--max-elems", "four"],
+], ids=["no-command", "unknown-command", "no-scenario", "examples-scenario",
+        "cap-off-census", "cap-not-an-int"])
+def test_argv_errors_exit_2_with_a_usage_line(tmp_path, capsys, argv):
+    path = _write(tmp_path, Z4_SCENARIO)
+    with pytest.raises(SystemExit) as exc:
+        main([path if arg == "SCENARIO" else arg for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == ""
+    assert lines[0].startswith("usage: frobqec")
+    assert lines[-1].startswith("frobqec: error: ")
+    assert sum("error:" in line for line in lines) == 1
+    assert "Traceback" not in err
+
+
+def test_each_main_call_builds_exactly_one_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = _write(tmp_path, Z4_SCENARIO)
+    assert main(["ring", "--scenario", path]) == 0
+    assert main(["census", "--scenario", path, "--json"]) == 0
+    assert len(built) == 2
+
+
+def test_top_level_help_names_every_command_and_option(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "{ring,code,stabiliser,protect,census,oracle,invariants,isometries,examples}" in out
+    for option, applies in [("--scenario", "every command but examples"),
+                            ("--json", "every command"), ("--max-elems", "census only")]:
+        assert any(option in line and applies in line for line in out.splitlines()), option
+
 
 def test_missing_scenario_file_is_invalid_input(capsys):
     code, _, err = _run(capsys, "ring", "--scenario", "/nonexistent.json")
