@@ -16,7 +16,9 @@ from .spaces import (
     Vector,
     _check_vector,
     _first_nontrivial,
+    _first_turn,
     _form,
+    carrier_pairings,
     form_many,
     identity_form,
     is_self_orthogonal,
@@ -144,16 +146,22 @@ def _protection_scans(space: PhaseSpace, code: Submodule, perp: Submodule):
     """The first (error phase b, code vector u, turn -<b, u>) with a
     non-trivial turn, u in ``elements`` order: b over ``perp`` in its
     ``elements`` order (the counterexample) and, for a non-trivial code, b
-    outside ``perp`` in carrier order, masked block by block (the demo)."""
-    code_rows = code.rows
-
-    def first(phases: np.ndarray, keep=None):
-        hit = _first_nontrivial(space, phases, code_rows, keep)
-        return None if hit is None else (hit[0], hit[1], -space.ring.epsilon(hit[2]))
-
+    outside ``perp`` in carrier order (the demo), from a
+    ``carrier_pairings`` sweep against the code masked to those b."""
+    ring, code_rows = space.ring, code.rows
+    hit = _first_nontrivial(space, perp.rows, code_rows)
+    found = None if hit is None else (hit[0], hit[1], -ring.epsilon(hit[2]))
+    if len(code) == 1:
+        return found, None
     outside = np.ones(space.size, dtype=bool)
     outside[perp.indices] = False
-    return first(perp.rows), first(space.coords, outside) if len(code) > 1 else None
+    for start, col, values in carrier_pairings(space, code_rows):
+        at = _first_turn(ring, values, outside[start : start + len(values), None])
+        if at is not None:
+            b = digits(start + at[0], ring.size, space.rank)[0]
+            return found, (tuple(b.tolist()), tuple(code_rows[col + at[1]].tolist()),
+                           -ring.epsilon(values[at]))
+    return found, None
 
 
 # ---------------------------------------------------------------------------

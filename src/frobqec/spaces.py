@@ -10,6 +10,10 @@ its elements once, as the sorted array of their mixed-radix indices
 (coordinate 0 fastest, the order of ``PhaseSpace.coords``): one engine,
 ``rings.index_span``, grows that array by whole cosets, and every sweep
 over a module gathers through the ring tables with numpy.
+
+A sweep of all of H against a few probes w extends the linear maps
+v -> form(v, w) digit by digit (``carrier_pairings``), with no
+coordinate matrix.
 """
 
 from __future__ import annotations
@@ -159,19 +163,15 @@ def _check_carrier(ring: RingSpec, k: int, n: int) -> None:
 
 
 def _check_perfect(ring: RingSpec, k: int, form: tuple[tuple[int, ...], ...]) -> None:
-    m = ring.size
-    site = digits(np.arange(m**k), m, k)
-    nonzero_row = np.zeros(m**k, dtype=bool)
-    for q in range(k):
-        acc = np.full(m**k, ring.zero, dtype=np.int64)
-        for p in range(k):
-            acc = ring.add_many(acc, ring.mul_many(site[:, p], form[p][q]))
-        nonzero_row |= acc != ring.zero
-    kernel = np.flatnonzero(~nonzero_row)
+    """Refuse the form unless no site vector v but 0 has form(v, e_q) = 0
+    for every unit vector e_q; row v of the form's ``_linear_rows`` holds
+    those values."""
+    kernel = np.flatnonzero(np.concatenate([(values == ring.zero).all(axis=1)
+                                            for values in _linear_rows(ring, np.array(form))]))
     if kernel.size != 1:
         witness = int(kernel[1] if kernel[0] == 0 else kernel[0])
         raise InvalidInputError(
-            f"form is not perfect: site vector {tuple(site[witness].tolist())} "
+            f"form is not perfect: site vector {tuple(digits(witness, ring.size, k)[0].tolist())} "
             "pairs trivially with everything"
         )
 
@@ -231,23 +231,71 @@ def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_nontrivial(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray, keep=None):
-    """The first (rows[i], cols[j]) in row-major order, rows with ``keep``
-    set if a mask is given, whose pairing turn is non-trivial, as tuples,
-    with their form value, or None; ``form_many`` runs on blocks of at most
-    BLOCK entries."""
+def _first_nontrivial(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray):
+    """The first (rows[i], cols[j]) in row-major order whose pairing turn
+    is non-trivial, as tuples, with their form value, or None;
+    ``form_many`` runs on blocks of at most BLOCK entries."""
     chunk = max(1, BLOCK // max(1, len(cols)))
     for start in range(0, len(rows), chunk):
         block = rows[start : start + chunk]
-        if keep is not None:
-            block = block[keep[start : start + chunk]]
         for col in range(0, len(cols), BLOCK):
             values = form_many(space, block, cols[col : col + BLOCK])
-            hits = np.argwhere(space.ring.eps_num[values] % space.ring.eps_den)
-            if hits.size:
-                i, j = hits[0]
+            hit = _first_turn(space.ring, values)
+            if hit is not None:
+                i, j = hit
                 return tuple(block[i].tolist()), tuple(cols[col + j].tolist()), int(values[i, j])
     return None
+
+
+def _first_turn(ring: RingSpec, values: np.ndarray, keep=True):
+    """(i, j) of the first entry of a block of form values, in row-major
+    order, whose turn is non-trivial and ``keep`` holds, or None."""
+    hits = (ring.eps_num % ring.eps_den != 0).take(values) & keep
+    at = int(hits.argmax())
+    return np.unravel_index(at, hits.shape) if hits.flat[at] else None
+
+
+def carrier_pairings(space: PhaseSpace, probes):
+    """form(v, w) for every v of H in index order against one or more
+    probes w, as row-major (start, col, values) blocks of at most BLOCK
+    entries, values[i, j] = form(v_(start + i), probes[col + j]).  The
+    form is linear in v, form(v, w) = sum_t v_t form(e_t, w), so
+    ``_linear_rows`` sweeps H without its coordinates."""
+    probes = np.asarray(probes, dtype=np.intp).reshape(-1, space.rank)
+    units = np.where(np.eye(space.rank, dtype=bool), space.ring.one, space.ring.zero)
+    start = 0
+    for rows in _linear_rows(space.ring, _form(space, units[:, None], probes[None])):
+        for col in range(0, len(probes), BLOCK):
+            yield start, col, rows[:, col : col + BLOCK]
+        start += len(rows)
+
+
+def _linear_rows(ring: RingSpec, coeffs: np.ndarray):
+    """The rows sum_t d_t(h) coeffs[t] over the indices h below
+    |R|^len(coeffs) in order, digit 0 fastest, in blocks of whole rows of
+    at most BLOCK entries (one row if a row is longer).  The low digits
+    form one table while it fits, T_(t+1)[a |R|^t + i] = a coeffs[t] +
+    T_t[i]; the rows over the other digits, swept alike, offset copies of
+    it.  If no digit fits, coeffs[0]'s multiples come a block at a time."""
+    elems, width = np.arange(ring.size), coeffs.shape[1]
+    step = max(1, BLOCK // width)
+    table, t = np.full((1, width), ring.zero, dtype=np.intp), 0
+    while t < len(coeffs) and len(table) * ring.size <= step:
+        products = ring.mul_many(elems[:, None, None], coeffs[t])
+        table = (ring.add_many(products, table) if t else products).reshape(-1, width)
+        t += 1
+    if t == len(coeffs):
+        yield table
+    elif t:
+        per = step // len(table)
+        for offsets in _linear_rows(ring, coeffs[t:]):
+            for i in range(0, len(offsets), per):
+                yield ring.add_many(offsets[i : i + per, None], table).reshape(-1, width)
+    else:
+        for offsets in _linear_rows(ring, coeffs[1:]):
+            for offset in offsets:
+                for a in range(0, ring.size, step):
+                    yield ring.add_many(offset, ring.mul_many(elems[a : a + step, None], coeffs[0]))
 
 
 def pairing_turn_numerators(space: PhaseSpace, rows, cols) -> np.ndarray:
@@ -406,18 +454,15 @@ def _trivial(space: PhaseSpace, values: np.ndarray, r_closed: bool) -> np.ndarra
 
 def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:
     """All of H pairing trivially with the code: the v whose form values
-    on ``code.spanning`` are ``_trivial``.  The complement is
-    scalar-closed iff the code is."""
+    on ``code.spanning`` are ``_trivial``, read block by block from one
+    ``carrier_pairings`` sweep of H against those rows.  The complement
+    is scalar-closed iff the code is."""
     if code.doubled:
         raise InvalidInputError("orthogonal complements live in the plain space")
-    probes = code.spanning
-    kept = []
-    chunk = max(1, BLOCK // max(1, len(probes)))
-    coords = space.coords
-    for start in range(0, space.size, chunk):
-        values = form_many(space, coords[start : start + chunk], probes)
-        kept.append(start + np.flatnonzero(_trivial(space, values, code.r_closed).all(axis=1)))
-    return Submodule(space, (), np.concatenate(kept), doubled=False, r_closed=code.r_closed)
+    keep = np.ones(space.size, dtype=bool)
+    for start, _, values in carrier_pairings(space, code.spanning):
+        keep[start : start + len(values)] &= _trivial(space, values, code.r_closed).all(axis=1)
+    return Submodule(space, (), np.flatnonzero(keep), doubled=False, r_closed=code.r_closed)
 
 
 def is_self_orthogonal(space: PhaseSpace, code: Submodule) -> bool:

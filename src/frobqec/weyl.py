@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import spaces
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 from .rings import TURN_ZERO, Turn, digits, index_span, indices_of
 from .spaces import (
@@ -36,9 +37,10 @@ from .spaces import (
     Submodule,
     Vector,
     _check_vector,
-    _first_nontrivial,
+    _first_turn,
     _form,
     _trivial,
+    carrier_pairings,
     phase_pairing,
 )
 
@@ -435,10 +437,21 @@ def code_dimension(space: PhaseSpace, s: StabiliserGroup) -> int:
 
 def noncommutativity_witness(space: PhaseSpace) -> LabelPair | None:
     """First (a, b) in enumeration order whose shift and phase refuse to
-    commute, i.e. with a non-trivial pairing turn; the form is symmetric,
-    so <b, a> = <a, b> and one block scan over the carrier finds it."""
-    hit = _first_nontrivial(space, space.coords, space.coords)
-    return None if hit is None else hit[:2]
+    commute, i.e. with a non-trivial pairing turn.  The a come
+    max(1, BLOCK // |H|) at a time as the probes of a ``carrier_pairings``
+    sweep over b.  The form is symmetric, so the sweep's values transposed
+    are the <a, b>; they form one block (several a) or blocks along b (one
+    a), so the first hit found is the first in row-major order."""
+    m, rank, size = space.ring.size, space.rank, space.size
+    chunk = max(1, spaces.BLOCK // size)
+    for first in range(0, size, chunk):
+        rows = digits(np.arange(first, min(first + chunk, size)), m, rank)
+        for start, _, values in carrier_pairings(space, rows):
+            hit = _first_turn(space.ring, values.T)
+            if hit is not None:
+                j, i = hit
+                return tuple(rows[j].tolist()), tuple(digits(start + i, m, rank)[0].tolist())
+    return None
 
 
 def reconstruct_pairing(space: PhaseSpace) -> dict[tuple[Vector, Vector], Turn]:

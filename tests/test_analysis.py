@@ -681,3 +681,16 @@ def test_module_sweeps_make_no_pairing_calls(f2u_line, f2u_plane, z4_pair, monke
     assert report.demo is not None
     assert noncommutativity_witness(f2u_plane) is not None
     assert calls == []
+
+
+def test_carrier_sweeps_leave_the_coordinate_matrix_unbuilt():
+    # 2^16 vectors: the complement, the protection scans and the
+    # witness all sweep the carrier without ``space.coords``.
+    ring = make_zm(16)
+    space = std_space(ring, 1, 4)
+    code = submodule_span(space, [(2, 4, 6, 1)])
+    assert len(code) * len(orthogonal(space, code)) == space.size
+    report = check_nilpotent_protection(space, ideal_span(ring, [4]))
+    assert report.passed and report.demo is not None
+    assert invariants(space).commutator_depth == 2
+    assert "coords" not in vars(space)

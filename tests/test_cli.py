@@ -152,6 +152,17 @@ def test_code_command_self_orthogonal(tmp_path, capsys):
     assert "|C| * |C_perp| = |H|: yes" in out
 
 
+def test_code_command_at_the_carrier_bound(tmp_path, capsys):
+    # Z_2 with n = 20 is the largest carrier, 2^20 vectors; the sweep of
+    # the complement builds no coordinate matrix.
+    doc = {"ring": {"family": "zm", "m": 2}, "space": {"k": 1, "n": 20},
+           "code": {"generators": [[1] * 20]}}
+    code, out, _ = _run(capsys, "code", "--json", "--scenario", _write(tmp_path, doc))
+    assert code == 0
+    report = json.loads(out)
+    assert report["orthogonal_size"] == 524288 and report["code_size"] == 2
+
+
 def test_code_command_negative_verdict(tmp_path, capsys):
     doc = {
         "ring": {"family": "zm", "m": 4},

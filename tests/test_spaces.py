@@ -544,20 +544,29 @@ def test_additive_orthogonal_probes_a_generating_set(monkeypatch):
     labels = submodule_span(space, [(1, 0, 0, 0), (0, 16, 0, 0)], doubled=True)
     cases = [(code, None), (orthogonal(space, line), [(16, 0), (0, 1)]),
              (css_verdict(space, labels).split[0], [(1, 0), (0, 16)])]
-    probes = []
-    original = spaces.form_many
+    probes, swept = [], []
+    original, original_sweep = spaces.form_many, spaces.carrier_pairings
 
     def recording(space, rows, cols):
         probes.append(len(cols))
         return original(space, rows, cols)
 
+    def sweeping(space, cols):
+        swept.append(len(cols))
+        return original_sweep(space, cols)
+
     for module, gens in cases:
         assert len(module) == 4096
         monkeypatch.setattr(spaces, "form_many", recording)
+        monkeypatch.setattr(spaces, "carrier_pairings", sweeping)
         perp, self_orth = orthogonal(space, module), is_self_orthogonal(space, module)
         monkeypatch.setattr(spaces, "form_many", original)
-        assert probes and max(probes) <= 12
+        monkeypatch.setattr(spaces, "carrier_pairings", original_sweep)
+        # orthogonal sweeps the carrier against the spanning rows, and
+        # is_self_orthogonal pairs them with each other.
+        assert swept and max(swept) <= 12 and probes and max(probes) <= 12
         probes.clear()
+        swept.clear()
         if gens is None:
             assert len(perp) == 16 and not perp.r_closed
             continue
@@ -567,3 +576,36 @@ def test_additive_orthogonal_probes_a_generating_set(monkeypatch):
         assert self_orth == is_self_orthogonal(space, given)
     # The complement of the complement is the line again.
     assert orthogonal(space, cases[1][0]) == line
+
+
+# ---------------------------------------------------------------------------
+# the carrier sweep
+
+def _pairing_spaces():
+    """Z_4, chain(4,2) and Z_2 x Z_3 pairs, the f2u line and plane, and
+    a non-identity form with an entry other than one over two sites."""
+    f2u, z4 = make_chain_ring(2, 2), make_zm(4)
+    return [("z4-pair", std_space(z4, 1, 2)), ("chain42-pair", std_space(make_chain_ring(4, 2), 1, 2)),
+            ("z6-pair", std_space(make_product(make_zm(2), make_zm(3)), 1, 2)),
+            ("f2u-line", std_space(f2u, 1, 1)), ("f2u-plane", std_space(f2u, 2, 1)),
+            ("z4-scaled", make_space(z4, 2, 2, ((1, 1), (1, 2))))]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+@pytest.mark.parametrize("space", [pytest.param(space, id=name) for name, space in _pairing_spaces()])
+def test_carrier_pairings_blocks_match_form_many(space, block, monkeypatch):
+    # One probe, several, and more than fit a block next to one digit's
+    # multiples; the blocks tile the table in row-major order.
+    monkeypatch.setattr(spaces, "BLOCK", block)
+    rng = np.random.default_rng(SEED)
+    m = space.ring.size
+    for count in (1, 3, block // m + 1):
+        probes = rng.integers(0, m, (count, space.rank))
+        at = (0, 0)
+        for start, col, values in spaces.carrier_pairings(space, probes):
+            assert (start, col) == at and 0 < values.size <= block
+            rows = space.coords[start : start + len(values)]
+            assert np.array_equal(values, form_many(space, rows, probes[col : col + values.shape[1]]))
+            col += values.shape[1]
+            at = (start, col) if col < count else (start + len(values), 0)
+        assert at == (space.size, 0)
