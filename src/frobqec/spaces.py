@@ -260,8 +260,11 @@ def carrier_pairings(space: PhaseSpace, probes):
     probes w, as row-major (start, col, values) blocks of at most BLOCK
     entries, values[i, j] = form(v_(start + i), probes[col + j]).  The
     form is linear in v, form(v, w) = sum_t v_t form(e_t, w), so
-    ``_linear_rows`` sweeps H without its coordinates."""
+    ``_linear_rows`` sweeps H without its coordinates.  No probes, no
+    blocks."""
     probes = np.asarray(probes, dtype=np.intp).reshape(-1, space.rank)
+    if not len(probes):
+        return
     units = np.where(np.eye(space.rank, dtype=bool), space.ring.one, space.ring.zero)
     start = 0
     for rows in _linear_rows(space.ring, _form(space, units[:, None], probes[None])):

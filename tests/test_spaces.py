@@ -267,9 +267,14 @@ def test_orthogonal_of_additive_code_stays_additive(f2u_line):
     assert is_self_orthogonal(f2u_line, perp)
 
 
-def test_orthogonal_of_trivial_code_is_everything(z4_line):
+def test_orthogonal_of_trivial_code_is_everything(z4_line, z4_pair):
     trivial = submodule_span(z4_line, [])
     assert len(orthogonal(z4_line, trivial)) == z4_line.size
+    # Two zero generators leave no spanning rows: the carrier sweep gets
+    # no probes and keeps all of H.
+    zero = submodule_span(z4_pair, [(0, 0), (0, 0)])
+    assert len(zero) == 1 and not len(zero.spanning)
+    assert len(orthogonal(z4_pair, zero)) == z4_pair.size
 
 
 def test_duality_product_over_all_small_submodules(z4_line, f2u_line):
