@@ -13,6 +13,15 @@ a resource bound, 4 when the numeric oracle cannot decide (a pivot in
 the rank routine's dead band), 5 for an internal consistency failure.
 Every command but examples reads --scenario; --max-elems is for census
 only.  Reports are plain text by default and stable JSON under --json.
+
+One writer, ``_json_text``, prints every JSON report.  Its text is
+byte-identical to ``json.dumps(report, sort_keys=True, indent=2)``, which
+the indent keeps on the stdlib's pure-Python encoder; strings go through
+the C ``encode_basestring_ascii``.  The ring report's two per-element
+lists, ``character`` and ``nilradical``, are rows (``_Rows``): the
+family's element layout from ``rings.element_rows`` becomes one format
+template, filled from one digits array, with the character turns reduced
+by one ``np.gcd``.  Text mode builds only the 16 entries it shows.
 """
 
 from __future__ import annotations
@@ -21,7 +30,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .analysis import (
     check_nilpotent_protection,
@@ -36,6 +49,7 @@ from .rings import (
     Ideal,
     RingSpec,
     Turn,
+    element_rows,
     ideal_span,
     make_chain_ring,
     make_product,
@@ -238,6 +252,63 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # report helpers
 
+@dataclass(frozen=True)
+class _Rows:
+    """A long list whose items share one ``layout``: the JSON shape of an
+    item with a format field text at each leaf (``rings.element_rows``),
+    filled, item by item, with the rows of the integer array ``fields``."""
+
+    layout: object
+    fields: np.ndarray
+
+
+def _json_text(value, pad: str = "") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, byte
+    for byte, on what reports hold: dicts with str keys, lists, tuples,
+    str, int, bool and None, each line after the first indented by ``pad``
+    more.  ``_Rows`` render as the list of their items, all through one
+    format template.  Anything else raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("report keys must be str")
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return _block(items, inner, pad, "{}")
+    if isinstance(value, (list, tuple)):
+        return _block([_json_text(item, inner) for item in value], inner, pad, "[]")
+    if isinstance(value, _Rows):
+        template = _block([_template(value.layout, inner)] * len(value.fields), inner, pad, "[]")
+        return template.format(*value.fields.ravel().tolist())
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _block(items: list[str], inner: str, pad: str, brackets: str) -> str:
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _template(layout, pad: str) -> str:
+    """The text of one item of this layout at this indent, as a format
+    string: a leaf is its own format text, a list is laid out as
+    ``_json_text`` lays one out."""
+    if isinstance(layout, str):
+        return layout
+    inner = pad + "  "
+    return _block([_template(item, inner) for item in layout], inner, pad, "[]")
+
+
 def _vec_doc(ring: RingSpec, v) -> list:
     return [ring.element_to_doc(c) for c in v]
 
@@ -273,15 +344,19 @@ def _witness_doc(space: PhaseSpace, pair) -> dict | None:
 def cmd_ring(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
     ring = scenario.ring
     nil = nilradical(ring)
+    layout, fields = element_rows(ring, ring.elements())
+    # Turn(n, d) reduces n/d by gcd(n, d); eps_num is already below eps_den.
+    common = np.gcd(ring.eps_num, ring.eps_den)
+    characters = np.column_stack([fields, ring.eps_num // common, ring.eps_den // common])
     report = {
         "size": ring.size,
         "family": ring.family,
         # Construction raises ConsistencyError on a character that does
         # not generate, so every ring that reaches here has one.
         "generating": True,
-        "nilradical": [ring.element_to_doc(x) for x in nil.elements],
+        "nilradical": _Rows(layout, fields[nil.indices]),
         "nilpotency_index": nilpotency_index(nil),
-        "character": [[ring.element_to_doc(x), str(ring.epsilon(x))] for x in ring.elements()],
+        "character": _Rows([layout, '"{}/{}"'], characters),
     }
     lines = [
         f"ring size: {ring.size}",
@@ -289,9 +364,8 @@ def cmd_ring(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
         f"nilradical size: {len(nil)}",
         f"nilpotency index: {report['nilpotency_index']}",
     ]
-    shown = report["character"][:16]
-    for doc, turn in shown:
-        lines.append(f"  character({doc!r}) = {turn}")
+    for x in range(min(ring.size, 16)):
+        lines.append(f"  character({ring.element_to_doc(x)!r}) = {ring.epsilon(x)}")
     if ring.size > 16:
         lines.append(f"  ... {ring.size - 16} more entries")
     return EXIT_OK, report, lines
@@ -639,7 +713,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     try:
         if args.json:
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print(_json_text(report))
         else:
             for line in lines:
                 print(line)

@@ -684,6 +684,33 @@ def element_to_doc(family: dict, x: int):
     raise InvalidInputError(f"unknown ring family {kind!r}")
 
 
+def _element_layout(family: dict) -> tuple[object, list[int]]:
+    """How ``element_to_doc`` lays out the ring digits: the shape of a
+    document with a ``"{}"`` format field for each integer, and the digit
+    that each field reads, depth first.  A zm element is its one digit, a
+    chain element its coefficients, digits 0 to e-1; a product puts the
+    left factor's document, on the high digits, before the right's."""
+    kind = family["family"]
+    if kind == "zm":
+        return "{}", [0]
+    if kind == "chain":
+        return ["{}"] * family["e"], list(range(family["e"]))
+    if kind == "product":
+        (left, high), (right, low) = (_element_layout(f) for f in family["factors"])
+        return [left, right], [d + len(low) for d in high] + low
+    raise InvalidInputError(f"unknown ring family {kind!r}")
+
+
+def element_rows(ring: RingSpec, elems) -> tuple[object, np.ndarray]:
+    """The documents of ``elems`` in one array step: the family's layout
+    (``_element_layout``) and one row of its fields per element, read
+    from one digits array.  Filling the layout with a row gives
+    ``element_to_doc`` of that element."""
+    layout, order = _element_layout(ring.family)
+    elems = np.asarray(elems, dtype=np.int64).reshape(-1, 1)
+    return layout, elems // ring.weights()[order] % np.array(ring.radices)[order]
+
+
 def element_from_doc(family: dict, doc) -> int:
     kind = family["family"]
     if kind == "zm":

@@ -207,12 +207,6 @@ class StabiliserGroup:
 _MAX_DENOMINATOR = 1 << 60
 
 
-def _find(labels: np.ndarray, label) -> int:
-    """Position of the label in the sorted array, or -1."""
-    at = int(labels.searchsorted(label))
-    return at if at < labels.size and labels[at] == label else -1
-
-
 def _mul_many(space: PhaseSpace, den: int, x, y):
     """``weyl_mul`` on broadcasting arrays of elements, each a pair of
     turn numerators over den and joined label rows."""
@@ -268,12 +262,16 @@ def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
     coords = np.full((1, 2 * r), ring.zero, dtype=np.intp)
     labels, turns, den, order = indices_of(coords, m), np.zeros(1, dtype=np.int64), eps, 1
     grown, spanning = [], []
+    weights, radices = ring.weights(), np.array(ring.radices)
+    steps = np.arange(math.lcm(*ring.radices) + 1)[:, None, None]
     for i, (g, c) in enumerate(zip(generators, gen_rows)):
-        multiple, mults = c, [coords[0]]
-        while (at := _find(labels, int(indices_of(multiple, m)))) < 0:
-            mults.append(multiple)
-            multiple = ring.add_many(multiple, c)
-        d, target, mults = len(mults), int(turns[at]), np.array(mults, dtype=np.intp)
+        # j*c for j = 0..L, with L*c = 0, from c's digits in one array step
+        # (as ``index_span`` reads them); d*c is the first in the table.
+        mults = steps * (c[:, None] // weights % radices) % radices @ weights
+        keys = indices_of(mults[1:], m)
+        places = labels.searchsorted(keys)
+        d = 1 + int((labels.take(places, mode="clip") == keys).argmax())
+        target, mults = int(turns[places[d - 1]]), mults[:d]
         # g^j has turn j*t + pairs[j] / eps_den, where pairs[j] sums <i*b, a>
         # over i < j: <b, a> * j(j-1)/2, as the character is additive.
         pairs = [int(own[i]) * (j * (j - 1) // 2) % eps for j in range(d + 1)]

@@ -145,6 +145,74 @@ def test_ring_command_json(tmp_path, capsys):
     assert report["character"][2] == [[0, 1], "1/2"]
 
 
+def _reference_ring_report(ring):
+    """The ring report one element document and one Turn at a time."""
+    nil = frobqec.rings.nilradical(ring)
+    return {
+        "size": ring.size,
+        "family": ring.family,
+        "generating": True,
+        "nilradical": [ring.element_to_doc(x) for x in nil.elements],
+        "nilpotency_index": frobqec.rings.nilpotency_index(nil),
+        "character": [[ring.element_to_doc(x), str(ring.epsilon(x))] for x in ring.elements()],
+    }
+
+
+_CHAIN = {"family": "chain", "m": 2, "e": 2}
+
+
+@pytest.mark.parametrize("family", [
+    {"family": "product", "factors": [{"family": "zm", "m": 5}, _CHAIN]},
+    {"family": "product", "factors": [
+        {"family": "product", "factors": [{"family": "chain", "m": 3, "e": 2}, {"family": "zm", "m": 2}]},
+        {"family": "product", "factors": [_CHAIN, {"family": "zm", "m": 5}]}]},
+    {"family": "chain", "m": 2, "e": 12},
+])
+def test_ring_reports_match_the_per_element_reference(tmp_path, capsys, family):
+    # The rendered rows must be what json.dumps gives for the documents
+    # built one element at a time, and text mode shows the first 16.
+    ring = ring_from_doc(family)
+    reference = _reference_ring_report(ring)
+    path = _write(tmp_path, {"ring": family})
+    code, out, _ = _run(capsys, "ring", "--json", "--scenario", path)
+    assert code == 0
+    assert out == json.dumps(reference, sort_keys=True, indent=2) + "\n"
+    code, out, _ = _run(capsys, "ring", "--scenario", path)
+    shown = [f"  character({doc!r}) = {turn}" for doc, turn in reference["character"][:16]]
+    assert out.splitlines() == [
+        f"ring size: {ring.size}",
+        "generating character: yes",
+        f"nilradical size: {len(reference['nilradical'])}",
+        f"nilpotency index: {reference['nilpotency_index']}",
+        *shown,
+        f"  ... {ring.size - 16} more entries",
+    ]
+
+
+_KEYS = st.text() | st.sampled_from(["", "a\"b", "back\\slash", "\x00\x1f\x7f", "\u00e9\u2603",
+                                     "\U0001f600", "tab\tnew\nline"])
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70) | _KEYS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_REPORT_VALUES)
+@example({"b": [1, (), {}], "a": {"\"q\"": None, "\u00e9": [True, False, -1]}})
+@example([[], {}, "", 2**64, -(2**64) - 1])
+def test_json_writer_matches_json_dumps(value):
+    assert frobqec.cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [0, {2}]}, (object(),), {"x": 1.5}, {1: 2}])
+def test_json_writer_refuses_what_reports_do_not_hold(value):
+    with pytest.raises(TypeError):
+        frobqec.cli._json_text(value)
+
+
 def test_code_command_self_orthogonal(tmp_path, capsys):
     code, out, _ = _run(capsys, "code", "--scenario", _write(tmp_path, Z4_SCENARIO))
     assert code == 0

@@ -31,7 +31,14 @@ from frobqec import (
     verify_generating_character,
 )
 from frobqec import rings
-from frobqec.rings import digits, element_from_doc, element_to_doc, index_span, indices_of
+from frobqec.rings import (
+    digits,
+    element_from_doc,
+    element_rows,
+    element_to_doc,
+    index_span,
+    indices_of,
+)
 
 from conftest import std_space
 
@@ -159,6 +166,32 @@ def test_element_doc_shapes():
     assert element_from_doc(fam_chain, [1, 1]) == 3
     fam_prod = {"family": "product", "factors": [{"family": "zm", "m": 2}, {"family": "zm", "m": 3}]}
     assert element_to_doc(fam_prod, 5) == [1, 2]
+
+
+def _fill(layout, fields):
+    """The layout with its "{}" leaves taken from the fields iterator."""
+    if layout == "{}":
+        return next(fields)
+    return [_fill(item, fields) for item in layout]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_zm(12),
+    lambda: make_chain_ring(3, 3),
+    lambda: make_product(make_chain_ring(2, 2), make_zm(3)),
+    lambda: make_product(make_zm(5), make_product(make_zm(2), make_chain_ring(3, 2))),
+    lambda: make_product(make_product(make_chain_ring(2, 3), make_zm(3)), make_chain_ring(2, 2)),
+])
+def test_element_rows_fill_the_element_documents(build):
+    ring = build()
+    layout, fields = element_rows(ring, ring.elements())
+    assert fields.shape[0] == ring.size
+    for x, row in enumerate(fields.tolist()):
+        it = iter(row)
+        assert _fill(layout, it) == ring.element_to_doc(x)
+        assert next(it, None) is None
+    picked = [ring.size - 1, 0, 3]
+    assert np.array_equal(element_rows(ring, picked)[1], fields[picked])
 
 
 def test_element_from_doc_rejects_junk(z4, f2u, z6):

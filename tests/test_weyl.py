@@ -32,6 +32,7 @@ from frobqec import (
     join_label,
     label_module_of,
     make_space,
+    make_zm,
     noncommutativity_witness,
     offending_pair,
     omega,
@@ -382,6 +383,12 @@ def test_phase_fix_retunes_every_growing_generator(request, ring_name, n, turns,
     assert set(fixed.elements) == _brute_closure(space, fixed.generators, len(fixed))
 
 
+def _find(labels, label):
+    """Position of the label in the sorted array, or -1."""
+    at = int(labels.searchsorted(label))
+    return at if at < labels.size and labels[at] == label else -1
+
+
 def _reference_walk(space, generators, bound, retune):
     """The label walk as it was before it read one pairing table: the
     pair sums of every generator's multiples from one ``_form`` call each,
@@ -396,7 +403,7 @@ def _reference_walk(space, generators, bound, retune):
     grown, grown_rows = [], []
     for g, c in zip(generators, gen_rows):
         multiple, mults = c, [coords[0]]
-        while (at := frobqec.weyl._find(labels, int(indices_of(multiple, m)))) < 0:
+        while (at := _find(labels, int(indices_of(multiple, m)))) < 0:
             mults.append(multiple)
             multiple = ring.add_many(multiple, c)
         d, target, mults = len(mults), int(turns[at]), np.array(mults, dtype=np.intp)
@@ -488,6 +495,19 @@ def test_walk_matches_the_per_generator_reference(request, ring_name, k, n):
         assert _same_group(phase_fix(s), _reference_phase_fix(s))
         seen["fixed"] += 1
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("turn, phase", [(T0, 0), (Turn(1, 3), 0), (T0, 1)])
+def test_walk_matches_the_reference_on_one_long_generator(turn, phase):
+    # One generator of order 4096 over Z_4096: the walk reads all its
+    # multiples in one array step, the reference steps them one by one.
+    space = std_space(make_zm(4096), 1, 1)
+    gens = [_w(space, turn, (1,), (phase,))]
+    s = group_closure(space, gens, bound=1 << 14)
+    assert len(s.labels) == 4096 and s.scalar_free == ((turn, phase) == (T0, 0))
+    assert _same_group(s, _reference_closure(space, gens, 1 << 14))
+    if not s.scalar_free:
+        assert _same_group(phase_fix(s), _reference_phase_fix(s))
 
 
 def test_walk_matches_the_reference_on_a_label_lift(z4):
