@@ -367,27 +367,35 @@ def _halves(place, sums, radices, by_gens: np.ndarray) -> dict:
                 mul_lo=_span_places(place, sums, lo), mul_hi=_span_places(place, sums, hi))
 
 
+# Rows per block of a ``_span_places`` step.
+_ROWS = 512
+
+
 def _span_places(place, sums, steps) -> np.ndarray:
     """Row by row, the places of the sums j_0 c_0 g_0 + j_1 c_1 g_1 + ...
     over 0 <= j_s < n_s, j_0 fastest, for the steps (g_s, n_s, c_s): g_s
     holds the place of one generator of each row.  A step grows the
     table by doubling: its blocks for j below h and h c_s g_s, added
     through the sumset, give those below 2h, so a step takes about
-    log2(n_s) array steps, never one per multiple."""
+    log2(n_s) array steps, never one per multiple.  Each step runs
+    ``_ROWS`` rows at a time, so its temporaries stay a block's size."""
     table = np.zeros((len(steps[0][0]), 1), dtype=np.intp)
     for first, count, stride in steps:
         if count == 1:
             continue
-        step, cols = _times(place, sums, first, stride)[:, None], table.shape[1]
+        row_steps, cols = _times(place, sums, first, stride)[:, None], table.shape[1]
         grown = np.empty((len(table), count * cols), dtype=np.intp)
         grown[:, :cols] = table
-        h = 1
-        while h < count:
-            width = min(h, count - h) * cols
-            grown[:, h * cols : h * cols + width] = place.take(sums.take(grown[:, :width] + step))
-            h *= 2
-            if h < count:
-                step = place.take(sums.take(step + step))
+        for top in range(0, len(table), _ROWS):
+            block, step = grown[top : top + _ROWS], row_steps[top : top + _ROWS]
+            h = 1
+            while h < count:
+                width = min(h, count - h) * cols
+                block[:, h * cols : h * cols + width] = place.take(
+                    sums.take(block[:, :width] + step))
+                h *= 2
+                if h < count:
+                    step = place.take(sums.take(step + step))
         table = grown
     return table
 
@@ -520,33 +528,44 @@ def indices_of(rows, base: int) -> np.ndarray:
     return rows @ base ** np.arange(rows.shape[-1], dtype=np.int64)
 
 
-def index_span(ring: RingSpec, width: int, items, start=None) -> tuple[np.ndarray, list[int]]:
-    """Subgroup of (R^width, +) generated by the subgroup ``start`` and
-    ``items`` (sorted indices as in ``digits``), and the positions of the
-    items that grew it.  An item y outside the group M so far adds the
-    disjoint cosets M + j*y, 0 < j < d for the least d with d*y in M.
-    The multiples come in one array step: the digits of j*y are those of
-    y times j, each mod its radix, and L*y = 0 for L the lcm of the
-    radices, so d <= L."""
+def index_span(ring: RingSpec, width: int, items, bound=None):
+    """Subgroup of (R^width, +) generated by ``items`` (sorted indices as
+    in ``digits``), grown in item order: an item y outside the group M so
+    far adds the disjoint cosets M + j*y, 0 < j < d for the least d with
+    d*y in M.  The multiples come in one array step: the digits of j*y
+    are those of y times j, each mod its radix, and L*y = 0 for L the lcm
+    of the radices, so d <= L.  Returns the sorted group; the positions
+    of the items that grew it; each item's d (1 if it lies in M) and the
+    index of its d*y; the group in construction order, where the i-th
+    grower's coset j is the block j*|M_i| + M_i; and the position of the
+    item whose cosets would pass ``bound``, where the walk stops, with
+    the items before it (None if it does not stop)."""
     base = ring.size
     powers = base ** np.arange(width, dtype=np.int64)
-    group = np.array([ring.zero * int(powers.sum())]) if start is None else start
-    coords = digits(group, base, width)
+    group, coords = np.zeros(1, dtype=np.int64), np.zeros((1, width), dtype=np.int64)
     items = np.asarray(items, dtype=np.int64).reshape(-1)
-    pending = np.flatnonzero(~_contains(group, items))
-    grew: list[int] = []
+    pending = np.flatnonzero(items)
+    grew, index, reach = [], np.ones_like(items), items.copy()
     weights, radices = ring.weights(), np.array(ring.radices)
+    places = powers[:, None] * weights
     steps = np.arange(1, math.lcm(*ring.radices) + 1)[:, None, None]
+    built = group
     while pending.size:
-        grew.append(int(pending[0]))
-        y = digits(items[pending[0]], base, width).reshape(width, 1)
-        multiples = steps * (y // weights % radices) % radices @ weights
-        d = 1 + int(_contains(group, multiples @ powers).argmax())
+        # The ring digits of each coordinate of the next item.
+        multiples = steps * (items[pending[0]] // places % radices) % radices @ weights
+        keys = multiples @ powers
+        d = 1 + int(_contains(group, keys).argmax())
+        q = int(pending[0])
+        if bound is not None and group.size * d > bound:
+            return group, grew, index[:q], reach[:q], built, q
+        grew.append(q)
+        index[q], reach[q] = d, keys[d - 1]
         cosets = ring.add_many(coords, multiples[: d - 1, None, :])
         coords = np.concatenate([coords, cosets.reshape(-1, width)])
-        group = np.sort(coords @ powers)
+        built = coords @ powers
+        group = np.sort(built)
         pending = pending[~_contains(group, items[pending])]
-    return group, grew
+    return group, grew, index, reach, built, None
 
 
 def _contains(group: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -589,7 +608,7 @@ def ideal_span(ring: RingSpec, generators) -> Ideal:
     multiples fall short of it."""
     gens = np.asarray(generators, dtype=np.intp)
     items = np.unique(ring.mul_many(np.arange(ring.size)[:, None], gens)).astype(np.int64)
-    group, grew = index_span(ring, 1, items)
+    group, grew = index_span(ring, 1, items)[:2]
     if group.size != items.size:
         items, grew = group, index_span(ring, 1, group)[1]
     return Ideal(ring, group, items[grew])
@@ -645,7 +664,7 @@ def _check_ideal(ring: RingSpec, elems: np.ndarray, spanning=None) -> np.ndarray
     if not (elems == ring.zero).any():
         raise ConsistencyError("ideal is missing zero")
     if spanning is None:
-        group, grew = index_span(ring, 1, elems)
+        group, grew = index_span(ring, 1, elems)[:2]
         if not np.array_equal(group, elems):
             raise ConsistencyError("ideal is not additively closed")
         spanning = elems[grew]

@@ -416,7 +416,7 @@ def _span(space: PhaseSpace, generators, doubled: bool, r_closed: bool) -> Submo
     if r_closed:
         # r g is the sum of the d_i(r) W_i g: the W_i g span the R-span.
         rows = ring.mul_many(ring.weights()[:, None, None], rows).reshape(-1, width)
-    group, _ = index_span(ring, width, indices_of(rows, ring.size))
+    group = index_span(ring, width, indices_of(rows, ring.size))[0]
     return Submodule(space, gens, group, doubled=doubled, r_closed=r_closed)
 
 

@@ -15,9 +15,11 @@ label pairs, which is what stabiliser analysis runs on.
 as the reference for the array paths.  A group is held as arrays: its
 sorted label indices in the doubled space, one turn numerator per label
 over one group denominator D, and the order |Z| of its scalar subgroup.
-Closure and phase fixing share one label walk that grows those arrays
-coset by coset; its Schreier scalars generate Z, so |G| = |L| * |Z| is
-known, and the bound checked, before any larger table is built.
+The labels grow once, coset by coset, in ``rings.index_span``; the turn
+of a coset representative is a quadratic form in its digits, and one
+turn walk, shared by closure and phase fixing, reads it.  Its Schreier
+scalars generate Z, so |G| = |L| * |Z| is known, and the bound checked,
+before the turn table is built.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,19 +120,18 @@ class StabiliserGroup:
     ``scalar_order``.  ``elements`` is a view in (shift, phase, turn)
     order; ``generators`` are kept as given.
 
-    ``spanning`` holds the positions, in ``generators`` (in ``elements``
-    when there are none), of the generators whose label lies outside the
-    additive span of the earlier labels: ``index_span``'s ``grew`` on the
-    generator labels, which are also the generators that grow the label
-    walk's table.  There are at most log2 |L| of them, and they generate
-    the label set, so by biadditivity every pairing question on the group
-    is a question about them.  The closure and the phase fix pass the
-    walk's positions and its ``pairing`` table; any other constructor
-    leaves both to be derived once, when first read.
+    ``cosets`` is the label walk over the generator labels (over
+    ``elements`` when there are none), and ``spanning`` its ``grew``: the
+    positions of the generators whose label lies outside the additive
+    span of the earlier labels.  There are at most log2 |L| of them, and
+    they generate the label set, so by biadditivity every pairing
+    question on the group is a question about them.  The closure passes
+    its cosets and its ``pairing`` table, the phase fix the table; any
+    other constructor leaves them to be derived once, when first read.
     """
 
     def __init__(self, space: PhaseSpace, generators, labels, turns=(), denominator: int = 1,
-                 scalar_order: int = 1, spanning=None, pairing=None):
+                 scalar_order: int = 1, cosets=None, pairing=None):
         self.space, self.generators = space, tuple(generators)
         self.denominator, self.scalar_order = denominator, scalar_order
         keep = np.argsort(labels)
@@ -138,8 +140,8 @@ class StabiliserGroup:
         self.labels.setflags(write=False)
         self.turns.setflags(write=False)
         # Known values take the place of the cached properties below.
-        if spanning is not None:
-            self.spanning = tuple(spanning)
+        if cosets is not None:
+            self.cosets = cosets
         if pairing is not None:
             self.pairing = pairing
 
@@ -155,9 +157,12 @@ class StabiliserGroup:
                      for row, ns in zip(rows[order].tolist(), nums.tolist()) for n in ns)
 
     @cached_property
-    def spanning(self) -> tuple[int, ...]:
-        ring, rows = self.space.ring, _label_rows(self.space, self._generating)
-        return tuple(index_span(ring, rows.shape[1], indices_of(rows, ring.size))[1])
+    def cosets(self) -> _Cosets:
+        return _cosets(self.space, _label_rows(self.space, self._generating))
+
+    @property
+    def spanning(self) -> list[int]:
+        return self.cosets.grew
 
     @cached_property
     def pairing(self) -> np.ndarray:
@@ -172,11 +177,13 @@ class StabiliserGroup:
         order, whose omega, ``pairing[i, j] - pairing[j, i]``, is not
         zero, with that omega; None if there is none."""
         eps = self.space.ring.eps_den
-        omegas = np.triu((self.pairing - self.pairing.T) % eps)
-        hits = np.argwhere(omegas)
+        # omega is alternating, so its first non-zero entry in row-major
+        # order lies above the diagonal.
+        omegas = (self.pairing - self.pairing.T) % eps
+        hits = np.flatnonzero(omegas)
         if not hits.size:
             return None
-        i, j = hits[0].tolist()
+        i, j = divmod(int(hits[0]), len(omegas))
         gens = self._generating
         return gens[self.spanning[i]], gens[self.spanning[j]], Turn(int(omegas[i, j]), eps)
 
@@ -229,80 +236,98 @@ def _pair_table(space: PhaseSpace, rows: np.ndarray) -> np.ndarray:
     return ring.eps_num[_form(space, rows[:, None, r:], rows[None, :, :r])] % ring.eps_den
 
 
-def _label_walk(space: PhaseSpace, generators, bound: int, *, retune: bool):
-    """Grow a table of one representative element per label, one
-    generator at a time.
+class _Cosets(NamedTuple):
+    """``rings.index_span`` over generator labels c: the sorted span, the
+    growers, and for each generator walked the least d with d*c in the
+    span of the earlier labels (1 if c is in it) and the digits of d*c.
+    The label with digits (j_1 .. j_k) is the sum of the j_i c_i over the
+    growers; ``digits[i]`` holds j_i of each label."""
 
-    A generator g with label c first lands in the table at its least
-    multiple d*c and adds the cosets L + j*c (j < d) as rep(l) * g^j, in
-    one batched product.  By Schreier's lemma its scalar g^d * rep(d*c)^-1
-    and its omega with the other table-growing generators generate the
-    scalar group Z, cyclic of order the lcm of their denominators.
-    ``retune`` first moves each turn t to (d*t - scalar).root(d), which
-    zeroes that scalar: D is multiplied by d and the numerator reduced
-    mod D, then divided.
+    labels: np.ndarray
+    grew: list[int]
+    index: list[int]
+    reach: list[list[int]]
+    digits: np.ndarray
+    stop: int | None
 
-    The walk reads two kinds of pairing, each from one ``_form`` call:
-    <b, a> of each generator, for the powers of g, and omega between
-    growing generators, from ``pairing``, the ``_pair_table`` of the
-    growing generators.  That table is built once the walk knows which
-    generators grow it, so the partial |L| * |Z| checked against the
-    bound, in Python integers, before each larger table is built leaves
-    the omegas out, and the full |L| * |Z| is checked at the end: no
-    table ever holds more than the bound.
 
-    Returns the sorted labels, their turn numerators over D, D, the
-    generators that grew the table, their positions among the
-    generators, their pairing table, and |Z|.
+def _cosets(space: PhaseSpace, rows: np.ndarray, bound: int | None = None) -> _Cosets:
+    labels, grew, index, reach, built, stop = index_span(
+        space.ring, rows.shape[1], indices_of(rows, space.ring.size), bound)
+    # Construction position p has the mixed-radix digits j_i over the d_i.
+    radix = index[grew][:, None]
+    place, strides = np.argsort(built), np.cumprod(radix)[:, None] // radix
+    digits_of = lambda positions: positions // strides % radix
+    return _Cosets(labels, grew, index.tolist(),
+                   digits_of(place[labels.searchsorted(reach)]).T.tolist(), digits_of(place), stop)
+
+
+def _label_walk(space: PhaseSpace, steps, cosets: _Cosets, pairing: np.ndarray, bound: int,
+                *, retune: bool):
+    """The turns of the labels of ``cosets``, one element per label, for
+    the steps (generator g, d, digits of d*c) in order.  A grower (d > 1)
+    adds the cosets L + j*c (j < d) as rep(l) * g^j.  A product costs
+    only the phase <b, a'>, so the turn of g_1^j_1 ... g_k^j_k is the sum
+    of the j_i t_i and of the quadratic form Q(j): <b_i, a_i> j_i(j_i -
+    1)/2 plus j_i j_i' <b_i, a_i'> for i < i', read from ``pairing``.  By
+    Schreier's lemma each generator's scalar g^d * rep(d*c)^-1 and the
+    omegas of the growers generate Z, cyclic of order the lcm of their
+    denominators.  ``retune`` first moves each grower's turn t to (d*t -
+    scalar).root(d), which zeroes that scalar: D is multiplied by d.
+
+    |L| * |Z| is checked against the bound at each step, in Python
+    integers, and with the omegas at the end; only then is the turn table
+    built, one gather of the growers' power tables j*t_i + <b_i, a_i>
+    j(j - 1)/2 (Python integers, as j*t_i can pass 2^63) plus Q's cross
+    terms.  Returns the turns over D in label order, D, the generators
+    that grew the labels, and |Z|.
     """
-    ring, r = space.ring, space.rank
-    m, eps = ring.size, ring.eps_den
-    gen_rows = _label_rows(space, generators)
-    own = ring.eps_num[_form(space, gen_rows[:, r:], gen_rows[:, :r])] % eps
-    coords = np.full((1, 2 * r), ring.zero, dtype=np.intp)
-    labels, turns, den, order = indices_of(coords, m), np.zeros(1, dtype=np.int64), eps, 1
-    grown, spanning = [], []
-    weights, radices = ring.weights(), np.array(ring.radices)
-    steps = np.arange(math.lcm(*ring.radices) + 1)[:, None, None]
-    for i, (g, c) in enumerate(zip(generators, gen_rows)):
-        # j*c for j = 0..L, with L*c = 0, from c's digits in one array step
-        # (as ``index_span`` reads them); d*c is the first in the table.
-        mults = steps * (c[:, None] // weights % radices) % radices @ weights
-        keys = indices_of(mults[1:], m)
-        places = labels.searchsorted(keys)
-        d = 1 + int((labels.take(places, mode="clip") == keys).argmax())
-        target, mults = int(turns[places[d - 1]]), mults[:d]
-        # g^j has turn j*t + pairs[j] / eps_den, where pairs[j] sums <i*b, a>
-        # over i < j: <b, a> * j(j-1)/2, as the character is additive.
-        pairs = [int(own[i]) * (j * (j - 1) // 2) % eps for j in range(d + 1)]
+    eps = space.ring.eps_den
+    table = pairing.tolist()
+    den, order, size, grown, growers = eps, 1, 1, [], []
+    for g, d, js in steps:
+        # The turn of rep(d*c) over den; often d*c = 0.
+        target = 0
+        if any(js):
+            quad = sum(j * sum(i * row[b] for i, row in zip(js[:b], table))
+                       + table[b][b] * (j * (j - 1) // 2) for b, j in enumerate(js))
+            target = (sum(j * num * (den // grid) for j, (_, num, grid) in zip(js, growers))
+                      + quad * (den // eps)) % den
+        # g^d has turn d*t + <b, a> d(d-1)/2.
+        half = table[len(grown)][len(grown)] * (d * (d - 1) // 2) % eps if d > 1 else 0
         if retune:
-            grid, num, dens = den * d, (target - pairs[d] * (den // eps)) % den, []
+            grid, num, dens = den * d, (target - half * (den // eps)) % den, []
             g = WeylElement(Turn(num, grid), g.shift, g.phase)
         else:
             grid = math.lcm(den, g.turn.denominator)
             num = g.turn.numerator * (grid // g.turn.denominator)
-            dens = [Turn(d * num + pairs[d] * (grid // eps) - target * (grid // den), grid)
+            dens = [Turn(d * num + half * (grid // eps) - target * (grid // den), grid)
                     .denominator]
         order = math.lcm(order, *dens)
-        if labels.size * d * order > bound:
+        if size * d * order > bound:
             raise ResourceLimitError(f"group closure exceeded the bound of {bound} elements")
         if d > 1:
             if grid > _MAX_DENOMINATOR:
                 raise ResourceLimitError("group turns need a denominator past 2^60")
-            powers = [(j * num + pairs[j] * (grid // eps)) % grid for j in range(d)]
-            reps = (turns[:, None] * (grid // den), coords[:, None])
-            turns, coords = _mul_many(space, grid, reps, (np.array(powers), mults))
-            coords = coords.reshape(-1, 2 * r).astype(np.intp)
-            labels = indices_of(coords, m)
-            keep = np.argsort(labels)
-            labels, turns, coords, den = labels[keep], turns.reshape(-1)[keep], coords[keep], grid
+            growers.append((d, num, grid))
+            size, den = size * d, grid
             grown.append(g)
-            spanning.append(i)
-    pairing = _pair_table(space, gen_rows[spanning])
     order = math.lcm(order, *(eps // np.gcd(pairing - pairing.T, eps)).ravel().tolist())
-    if labels.size * order > bound:
+    if cosets.stop is not None or size * order > bound:
         raise ResourceLimitError(f"group closure exceeded the bound of {bound} elements")
-    return labels, turns, den, grown, spanning, pairing, order
+    starts, powers = [], []
+    for i, (d, num, grid) in enumerate(growers):
+        own, num = table[i][i], num * (den // grid)
+        starts.append(len(powers))
+        powers += [(j * num + own * (j * (j - 1) // 2) % eps * (den // eps)) % den
+                   for j in range(d)]
+    js, k = cosets.digits, np.arange(len(growers))
+    turns = (js * (np.where(k[:, None] < k, pairing, 0).T @ js)).sum(axis=0) % eps * (den // eps)
+    terms = np.array(powers, dtype=np.int64).take(js + np.array(starts, dtype=np.int64)[:, None])
+    # Eight numerators below D <= 2^60 sum below 2^63.
+    for top in range(0, len(terms), 7):
+        turns = (turns + terms[top : top + 7].sum(axis=0)) % den
+    return turns, den, grown, order
 
 
 def group_closure(space: PhaseSpace, generators,
@@ -318,9 +343,12 @@ def group_closure(space: PhaseSpace, generators,
     for g in gens:
         if len(g.shift) != space.rank or len(g.phase) != space.rank:
             raise InvalidInputError("generator labels do not match the space rank")
-    labels, turns, den, _, spanning, pairing, order = _label_walk(space, gens, bound,
-                                                                  retune=False)
-    return StabiliserGroup(space, gens, labels, turns, den, order, spanning, pairing)
+    rows = _label_rows(space, gens)
+    cosets = _cosets(space, rows, bound)
+    pairing = _pair_table(space, rows[cosets.grew])
+    turns, den, _, order = _label_walk(space, zip(gens, cosets.index, cosets.reach), cosets,
+                                       pairing, bound, retune=False)
+    return StabiliserGroup(space, gens, cosets.labels, turns, den, order, cosets, pairing)
 
 
 def is_abelian_mod_scalars(s: StabiliserGroup) -> bool:
@@ -395,13 +423,14 @@ def phase_fix(s: StabiliserGroup) -> StabiliserGroup:
     """Retune the generators of an abelian-mod-scalars group so the
     closure is scalar-free, preserving the label set.
 
-    This is the label walk of the closure with every generator's turn
+    This is the turn walk of the closure with every generator's turn
     solved so that its Schreier scalar vanishes: with omega trivial on
-    the labels, no scalar is left to generate.  Only the spanning
-    generators are walked; the others' labels are already covered, so
-    they are dropped.  Adjusting each generator against
-    only its own order can strand scalars in cross relations; solving
-    against the table built so far cannot.
+    the labels, no scalar is left to generate.  It reads the group's
+    cosets and pairing table, so no label is walked again.  Only the
+    spanning generators are retuned; the others' labels are already
+    covered, so they are dropped.  Adjusting each generator against only
+    its own order can strand scalars in cross relations; solving against
+    the turns of the cosets built so far cannot.
     """
     space = s.space
     if s.scalar_free:
@@ -409,15 +438,15 @@ def phase_fix(s: StabiliserGroup) -> StabiliserGroup:
     if not is_abelian_mod_scalars(s):
         raise InvalidInputError("phase fixing needs an abelian-mod-scalars group")
 
-    gens = s._generating
-    kept = [gens[i] for i in s.spanning]
-    labels, turns, den, new_gens, spanning, pairing, order = _label_walk(space, kept, len(s),
-                                                                         retune=True)
+    gens, cosets = s._generating, s.cosets
+    steps = [(gens[q], cosets.index[q], cosets.reach[q]) for q in cosets.grew]
+    turns, den, new_gens, order = _label_walk(space, steps, cosets, s.pairing, len(s),
+                                              retune=True)
     if order != 1:
         raise ConsistencyError("phase fixing left an irreducible scalar")
-    if not np.array_equal(labels, s.labels):
+    if not np.array_equal(cosets.labels, s.labels):
         raise ConsistencyError("phase fixing changed the label set")
-    return StabiliserGroup(space, new_gens, labels, turns, den, 1, spanning, pairing)
+    return StabiliserGroup(space, new_gens, s.labels, turns, den, 1, pairing=s.pairing)
 
 
 def code_dimension(space: PhaseSpace, s: StabiliserGroup) -> int:

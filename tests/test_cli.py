@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -565,6 +566,33 @@ def test_oracle_fuzz_near_its_bounds(case):
         assert code == 3 and out.getvalue() == ""
         assert err.getvalue().startswith("resource bound: ")
         assert err.getvalue().count("\n") == 1
+
+
+def test_walk_refusals_keep_their_order(tmp_path, capsys, monkeypatch):
+    # Z_2 on 7 sites: the unit shifts and phases grow 2^14 labels, and the
+    # 13th generator's cosets would pass the bound of 4096.  A turn of
+    # 1/10^20 on the 14th is never read: the label bound stops the walk.
+    n, zero, huge = 7, [0] * 7, "1/100000000000000000000"
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    gens = [{"a": e, "b": zero} for e in units] + [{"a": zero, "b": e} for e in units]
+    doc = {"ring": {"family": "zm", "m": 2}, "space": {"k": 1, "n": n},
+           "stabiliser": {"generators": gens}}
+    bound_line = "resource bound: group closure exceeded the bound of 4096 elements\n"
+    denominator_line = "resource bound: group turns need a denominator past 2^60\n"
+    gens[-1]["turn"] = huge
+    assert _run(capsys, "stabiliser", "--scenario", _write(tmp_path, doc)) == (3, "", bound_line)
+    # On the first generator the same turn is refused at once: its
+    # Schreier scalar alone passes the bound, which is checked before the
+    # denominator.
+    gens[-1].pop("turn")
+    gens[0]["turn"] = huge
+    assert _run(capsys, "stabiliser", "--scenario", _write(tmp_path, doc)) == (3, "", bound_line)
+    # Past a bound that lets it through, the denominator refusal comes
+    # first, before any turn table is built.
+    monkeypatch.setattr(frobqec.cli, "group_closure",
+                        functools.partial(frobqec.weyl.group_closure, bound=1 << 70))
+    assert (_run(capsys, "stabiliser", "--scenario", _write(tmp_path, doc))
+            == (3, "", denominator_line))
 
 
 _IDEAL_FAMILIES = [

@@ -450,6 +450,7 @@ def test_oracle_runs_without_the_exact_form_kernel(request, monkeypatch, ring_na
 
     for module in (frobqec.spaces, frobqec.weyl, frobqec.analysis):
         monkeypatch.setattr(module, "_form", refuse)
+    monkeypatch.setattr(frobqec.weyl, "_cosets", refuse)
     monkeypatch.setattr(frobqec.weyl, "_label_walk", refuse)
     monkeypatch.setattr(frobqec.weyl, "_mul_many", refuse)
     monkeypatch.setattr(oracle, "commutator", lambda space, e1, e2: exact[id(e1), id(e2)])

@@ -235,6 +235,14 @@ def test_close_under_addition_grows_cosets():
     assert index_span(z12, 1, [])[0].tolist() == [0]
     # Only items outside the span so far grow it.
     assert index_span(z12, 1, [0, 4, 8, 6, 2])[1] == [1, 3]
+    # Each grower's d and d*y, the construction order (the coset j*6 + M
+    # of M = {0, 4, 8} after M), and the stop before a table past bound.
+    _, grew, index, reach, built, stop = index_span(z12, 1, [4, 6])
+    assert ((grew, index.tolist(), reach.tolist(), built.tolist(), stop)
+            == ([0, 1], [3, 2], [0, 0], [0, 4, 8, 6, 10, 2], None))
+    _, grew, index, reach, built, stop = index_span(z12, 1, [4, 8, 6], bound=5)
+    assert ((grew, index.tolist(), reach.tolist(), built.tolist(), stop)
+            == ([0], [3, 1], [0, 8], [0, 4, 8], 2))
 
 
 def test_digits_round_trip():
@@ -289,7 +297,7 @@ def test_index_span_properties(data):
     if r_closed:
         rows = ring.mul_many(np.arange(ring.size)[:, None, None], rows).reshape(-1, width)
     feed = indices_of(rows, ring.size).tolist()
-    group, grew = index_span(ring, width, feed)
+    group, grew = index_span(ring, width, feed)[:2]
     assert (ring.size**width) % group.size == 0
     assert np.array_equal(group, np.unique(group))
     assert grew == sorted(set(grew))
@@ -340,7 +348,7 @@ def test_index_span_matches_the_walk_by_hand(ring, width):
             items += [int(indices_of(ring.mul_many(rng.randrange(ring.size),
                                                    digits(items[0], ring.size, width)),
                                      ring.size)[0]), 0]
-        group, grew = index_span(ring, width, items)
+        group, grew = index_span(ring, width, items)[:2]
         assert (group.tolist(), grew) == _index_span_by_hand(ring, width, items)
 
 

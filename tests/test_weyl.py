@@ -493,8 +493,18 @@ def test_walk_matches_the_per_generator_reference(request, ring_name, k, n):
             seen["non_abelian"] += 1
             continue
         assert _same_group(phase_fix(s), _reference_phase_fix(s))
+        # A group built directly derives the closure's cosets when the
+        # phase fix first reads them.
+        direct = StabiliserGroup(space, gens, s.labels, s.turns, s.denominator, s.scalar_order)
+        assert _same_cosets(direct.cosets, s.cosets)
+        assert _same_group(phase_fix(direct), phase_fix(s))
         seen["fixed"] += 1
     assert all(seen.values()), seen
+
+
+def _same_cosets(c, d):
+    return (np.array_equal(c.labels, d.labels) and np.array_equal(c.digits, d.digits)
+            and (c.grew, c.index, c.reach, c.stop) == (d.grew, d.index, d.reach, d.stop))
 
 
 @pytest.mark.parametrize("turn, phase", [(T0, 0), (Turn(1, 3), 0), (T0, 1)])
@@ -511,13 +521,28 @@ def test_walk_matches_the_reference_on_one_long_generator(turn, phase):
 
 
 def test_walk_matches_the_reference_on_a_label_lift(z4):
-    # Every one of the 64 elements of R*(e_i, e_i) is lifted as a
-    # generator; only 3 of them grow the table.
-    space = std_space(z4, 1, 3)
-    diagonal = [tuple(int(i == j) for j in range(3)) * 2 for i in range(3)]
-    s = stabiliser_of_labels(space, submodule_span(space, diagonal, doubled=True))
-    assert len(s.generators) == 64 and len(s.spanning) == 3
-    assert _same_group(s, _reference_closure(space, s.generators, DEFAULT_GROUP_BOUND))
+    # Every one of the 4^n elements of R*(e_i, e_i) is lifted as a
+    # generator; only n of them grow the table, and the others each
+    # read their Schreier scalar from the cosets.
+    for n in (3, 4):
+        space = std_space(z4, 1, n)
+        diagonal = [tuple(int(i == j) for j in range(n)) * 2 for i in range(n)]
+        s = stabiliser_of_labels(space, submodule_span(space, diagonal, doubled=True))
+        assert len(s.generators) == 4**n and len(s.spanning) == n
+        assert _same_group(s, _reference_closure(space, s.generators, DEFAULT_GROUP_BOUND))
+        assert _same_group(phase_fix(s), _reference_phase_fix(s))
+
+
+def test_walk_matches_the_reference_past_seven_growers(z2):
+    # Eight commuting generators (e_i, e_i) over Z_2: eight power tables,
+    # one more than the walk adds in one int64 sum.
+    n = 8
+    space = std_space(z2, 1, n)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    gens = [_w(space, Turn(i % 3, 8), e, e) for i, e in enumerate(units)]
+    s = group_closure(space, gens)
+    assert len(s.spanning) == n and len(s) == 4 * 2**n
+    assert _same_group(s, _reference_closure(space, gens, DEFAULT_GROUP_BOUND))
     assert _same_group(phase_fix(s), _reference_phase_fix(s))
 
 
