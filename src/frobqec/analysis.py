@@ -19,10 +19,10 @@ from .spaces import (
     _first_turn,
     _form,
     carrier_pairings,
-    form_many,
     identity_form,
     is_self_orthogonal,
     orthogonal,
+    pairing_turn_numerators,
     submodule_levels,
     submodule_span,
 )
@@ -397,7 +397,7 @@ def submodule_census(space: PhaseSpace, max_elems: int) -> CensusReport:
     levels = submodule_levels(space, doubled=True, max_elems=max_elems)
     r = space.rank
     # Row b, column a: the pairing of phase b with shift a, at label index a + |H| * b.
-    own = space.ring.eps_num[form_many(space, space.coords, space.coords)] % space.ring.eps_den
+    own = pairing_turn_numerators(space, space.coords, space.coords)
     anticommuting = own.ravel() > 0
     zero = space.vector_index(space.zero_vector())
     submodules = isotropic = css = with_witness = 0

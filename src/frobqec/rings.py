@@ -206,7 +206,7 @@ def ring_pairing(ring: RingSpec, x: int, y: int) -> Turn:
     return ring.epsilon(ring.mul(x, y))
 
 
-def verify_generating_character(ring: RingSpec, probes=None) -> bool:
+def verify_generating_character(ring: RingSpec) -> bool:
     """True iff x -> character(x * .) is injective on the carrier.
 
     This is the Frobenius condition: it makes the additive group of the
@@ -217,21 +217,18 @@ def verify_generating_character(ring: RingSpec, probes=None) -> bool:
     y seen so far, one column at a time, and the answer is True as soon
     as every class holds one element.  Rows that differ on some columns
     differ as rows, so True is exact, and False comes only after every
-    column: the test assumes no ring law.  The columns of ``probes``
-    (default: the additive generators S = {W_i} of ``RingSpec.weights``)
-    go first.  Every y is a sum of elements of S, so in a distributive
-    ring with an additive character, character(x * .) is fixed by its
-    values on S, and a generating character separates the rows within
-    |S| columns.
+    column: the test assumes no ring law.  The columns of the additive
+    generators S = {W_i} of ``RingSpec.weights`` go first.  Every y is a
+    sum of elements of S, so in a distributive ring with an additive
+    character, character(x * .) is fixed by its values on S, and a
+    generating character separates the rows within |S| columns.
     """
     eps = ring.eps_num % ring.eps_den
-    if probes is None:
-        probes = ring.weights()
     # An element's class code is the first position of its key among the
     # sorted keys, so codes stay below |R| and keys below |R| eps_den.
     idx = np.arange(ring.size)
     codes = np.zeros(ring.size, dtype=np.intp)
-    columns = ring.mul_many(idx[:, None], np.asarray(probes, dtype=np.intp)).T
+    columns = ring.mul_many(idx[:, None], ring.weights()).T
     for column in itertools.chain(columns, (ring.mul_many(idx, y) for y in range(ring.size))):
         keys = codes * ring.eps_den + eps[column]
         ordered = np.sort(keys)
@@ -506,7 +503,7 @@ def _validate_ring(spec: RingSpec, derived: dict | None = None) -> None:
     if ((radices * on_gens) % spec.eps_den).any() or not np.array_equal(
             np.arange(n)[:, None] // gens % radices @ on_gens % spec.eps_den, eps):
         raise ConsistencyError("character is not additive")
-    if not verify_generating_character(spec, gens):
+    if not verify_generating_character(spec):
         raise ConsistencyError("character is not generating")
 
     for name in ("structure", "eps_num", *_DERIVED):
@@ -575,13 +572,13 @@ def _contains(group: np.ndarray, values: np.ndarray) -> np.ndarray:
 class Ideal:
     """An ideal of ``ring``, held as ``indices``, the sorted read-only
     int64 array of its distinct elements; ``elements`` is a tuple view
-    for reports.  ``spanning`` holds the elements that grow the additive
-    span as ``index_span`` walks ``indices``, at most log2 |I| of them:
-    they generate (I, +) and, I being closed under scalars, I over R.
-    Every ideal routine reads them.  Building an ideal checks that it is
-    one (``_check_ideal``); a caller that has already walked ``indices``
-    with ``index_span`` hands in the growers as ``spanning``, and then
-    only closure under scalars is left to check."""
+    for reports.  ``spanning`` holds the growers of an ``index_span``
+    walk over a set generating (I, +), at most log2 |I| of them: they
+    generate (I, +) and, I being closed under scalars, I over R.  Every
+    ideal routine reads them.  Building an ideal checks that it is one
+    (``_check_ideal``), walking ``indices`` itself; ``ideal_span`` walks
+    the W_i g of its generators and hands in the growers, and then only
+    closure under scalars is left to check."""
 
     def __init__(self, ring: RingSpec, indices, spanning=None):
         self.ring = ring
@@ -602,15 +599,12 @@ class Ideal:
 
 def ideal_span(ring: RingSpec, generators) -> Ideal:
     """Smallest ideal containing the generators: the additive span of
-    all ring multiples of them.  The multiples R g of one generator form
-    an ideal, so then the walk over them, sorted, is the walk over the
-    ideal and gives ``spanning``; the ideal is walked again only when the
-    multiples fall short of it."""
+    all ring multiples of them.  r g = d_0(r) W_0 g + d_1(r) W_1 g + ...,
+    so one walk over the W_i g, sorted and distinct, spans the ideal, and
+    its growers are ``spanning``."""
     gens = np.asarray(generators, dtype=np.intp)
-    items = np.unique(ring.mul_many(np.arange(ring.size)[:, None], gens)).astype(np.int64)
+    items = np.unique(ring.mul_many(ring.weights()[:, None], gens)).astype(np.int64)
     group, grew = index_span(ring, 1, items)[:2]
-    if group.size != items.size:
-        items, grew = group, index_span(ring, 1, group)[1]
     return Ideal(ring, group, items[grew])
 
 
@@ -658,9 +652,11 @@ def nilpotency_index(ideal: Ideal) -> int:
 def _check_ideal(ring: RingSpec, elems: np.ndarray, spanning=None) -> np.ndarray:
     """The read-only ``spanning`` set of the sorted distinct ``elems``,
     once they are shown to form an ideal: they equal the additive span
-    of that set (unless it is given), and hold W_i g for each W_i and
-    each g in it, so every r g = d_0(r) W_0 g + d_1(r) W_1 g + ... and
-    every r (c_1 g_1 + ... + c_t g_t) = c_1 r g_1 + ... + c_t r g_t."""
+    of that set (the growers of a walk over ``elems``, unless a walk
+    over other generators of (I, +) hands it in), and hold W_i g for
+    each W_i and each g in it, so every r g = d_0(r) W_0 g + d_1(r) W_1
+    g + ... and every r (c_1 g_1 + ... + c_t g_t) = c_1 r g_1 + ... +
+    c_t r g_t."""
     if not (elems == ring.zero).any():
         raise ConsistencyError("ideal is missing zero")
     if spanning is None:

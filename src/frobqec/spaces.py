@@ -304,7 +304,7 @@ def _linear_rows(ring: RingSpec, coeffs: np.ndarray):
 def pairing_turn_numerators(space: PhaseSpace, rows, cols) -> np.ndarray:
     """Pairwise pairing turns as numerators over the ring's shared
     denominator; zero means a trivial pairing."""
-    ra, ca = (np.asarray(list(v), dtype=np.int64).reshape(-1, space.rank) for v in (rows, cols))
+    ra, ca = (np.asarray(v, dtype=np.int64).reshape(-1, space.rank) for v in (rows, cols))
     return space.ring.eps_num[form_many(space, ra, ca)] % space.ring.eps_den
 
 

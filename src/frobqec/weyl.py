@@ -44,6 +44,7 @@ from .spaces import (
     _form,
     _trivial,
     carrier_pairings,
+    pairing_turn_numerators,
     phase_pairing,
 )
 
@@ -168,8 +169,9 @@ class StabiliserGroup:
     def pairing(self) -> np.ndarray:
         """``pairing[i, j]`` = <b_i, a_j> as a numerator over eps_den, for
         the spanning generators (a_i, b_i) in order."""
-        gens = self._generating
-        return _pair_table(self.space, _label_rows(self.space, [gens[i] for i in self.spanning]))
+        gens, r = self._generating, self.space.rank
+        rows = _label_rows(self.space, [gens[i] for i in self.spanning])
+        return pairing_turn_numerators(self.space, rows[:, r:], rows[:, :r])
 
     @cached_property
     def _offending(self) -> tuple[WeylElement, WeylElement, Turn] | None:
@@ -226,14 +228,6 @@ def _label_rows(space: PhaseSpace, elements) -> np.ndarray:
     """Joined label rows (a, b) of Weyl elements."""
     rows = np.array([join_label(e.label) for e in elements], dtype=np.intp)
     return rows.reshape(-1, 2 * space.rank)
-
-
-def _pair_table(space: PhaseSpace, rows: np.ndarray) -> np.ndarray:
-    """``out[i, j]`` = <b_i, a_j> for label rows (a_i, b_i), as numerators
-    over eps_den, in one ``_form`` call.  omega of rows i and j is
-    ``out[i, j] - out[j, i]``."""
-    ring, r = space.ring, space.rank
-    return ring.eps_num[_form(space, rows[:, None, r:], rows[None, :, :r])] % ring.eps_den
 
 
 class _Cosets(NamedTuple):
@@ -343,9 +337,9 @@ def group_closure(space: PhaseSpace, generators,
     for g in gens:
         if len(g.shift) != space.rank or len(g.phase) != space.rank:
             raise InvalidInputError("generator labels do not match the space rank")
-    rows = _label_rows(space, gens)
+    rows, r = _label_rows(space, gens), space.rank
     cosets = _cosets(space, rows, bound)
-    pairing = _pair_table(space, rows[cosets.grew])
+    pairing = pairing_turn_numerators(space, rows[cosets.grew, r:], rows[cosets.grew, :r])
     turns, den, _, order = _label_walk(space, zip(gens, cosets.index, cosets.reach), cosets,
                                        pairing, bound, retune=False)
     return StabiliserGroup(space, gens, cosets.labels, turns, den, order, cosets, pairing)

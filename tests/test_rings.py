@@ -374,6 +374,24 @@ def test_ideal_span_and_membership(z4):
     assert len(ideal_span(z4, [3])) == 4
 
 
+def test_ideal_span_walks_once(monkeypatch):
+    # R*2 and R*u of chain(4,2) join to 6 elements, short of the 8 of
+    # their ideal; one walk over the W_i*g spans it all the same.
+    ring = make_chain_ring(4, 2)
+    u = ring.element_from_doc([0, 1])
+    multiples = {ring.mul(r, g) for g in (2, u) for r in ring.elements()}
+    calls = []
+    original = rings.index_span
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rings, "index_span", counting)
+    ideal = ideal_span(ring, [2, u])
+    assert (len(multiples), len(ideal), len(calls)) == (6, 8, 1)
+
+
 def test_nilradical_values(z4, f2u, z6):
     assert nilradical(z4).elements == (0, 2)
     assert nilradical(f2u).elements == (0, U)
@@ -398,8 +416,18 @@ def test_ideal_is_held_as_a_checked_index_array(z4, f2u):
     make_chain_ring(4, 2), make_product(make_zm(4), make_chain_ring(2, 2))
 ], ids=["Z_4", "Z_6", "chain(2,2)", "chain(3,2)", "chain(4,2)", "Z_4 x chain(2,2)"])
 def test_spanning_generates_the_ideal(ring):
-    # At most log2 |I| elements, and their additive span is all of I.
-    for ideal in [nilradical(ring)] + [ideal_span(ring, [x]) for x in ring.elements()]:
+    # Every ideal on one or two generators is the additive closure of
+    # their ring multiples; ``spanning`` holds at most log2 |I| elements,
+    # and their additive span is all of I.
+    elems = ring.elements()
+    gens = [[x] for x in elems] + [list(pair) for pair in itertools.combinations(elems, 2)]
+    ideals = [nilradical(ring)]
+    for g in gens:
+        multiples = sorted({ring.mul(r, x) for x in g for r in elems})
+        ideals.append(ideal_span(ring, g))
+        assert ideals[-1].elements == tuple(sorted(_close_under_addition(ring.add, ring.zero,
+                                                                         multiples)))
+    for ideal in ideals:
         assert len(ideal.spanning) <= len(ideal).bit_length() - 1
         assert np.array_equal(index_span(ring, 1, ideal.spanning)[0], ideal.indices)
 

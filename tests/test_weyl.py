@@ -6,6 +6,7 @@ closed, and the phase fix has to clear scalars that appear in cross
 relations rather than in any single generator's own order.
 """
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -29,6 +30,8 @@ from frobqec import (
     group_closure,
     is_abelian_mod_scalars,
     is_isotropic,
+    isometry_action,
+    isometry_group,
     join_label,
     label_module_of,
     make_space,
@@ -698,6 +701,28 @@ def test_phase_fix_mixed_chain_group(f2u_plane):
     assert len(fixed) == 4
     assert code_dimension(f2u_plane, fixed) == 4
     assert label_module_of(fixed) == label_module_of(s)
+
+
+def test_pairing_table_reads_the_scalar_pairing(z4_line, f2u_plane):
+    # pairing[i, j] is <b_i, a_j> over eps_den for the spanning
+    # generators, whether the closure, the phase fix or the group's own
+    # derivation (after an isometry) built the table.
+    lifted = stabiliser_of_labels(z4_line, submodule_span(z4_line, [(1, 1)], doubled=True))
+    mixed = group_closure(f2u_plane, [_w(f2u_plane, T0, (1, 0), (U, 0)),
+                                      _w(f2u_plane, T0, (0, 1), (0, U))])
+    clashing = group_closure(z4_line, [_w(z4_line, T0, (1,), (0,)), _w(z4_line, T0, (0,), (1,)),
+                                       _w(z4_line, T0, (1,), (1,))])
+    cases = [(z4_line, lifted), (z4_line, phase_fix(lifted)), (z4_line, clashing),
+             (f2u_plane, mixed), (f2u_plane, phase_fix(mixed))]
+    cases += [(f2u_plane, isometry_action(f2u_plane, g, s))
+              for g in isometry_group(f2u_plane) for s in (mixed, phase_fix(mixed))]
+    for space, s in cases:
+        gens = [s.generators[q] for q in s.spanning]
+        assert s.pairing.shape == (len(gens), len(gens))
+        for (i, g), (j, h) in itertools.product(enumerate(gens), repeat=2):
+            assert Turn(int(s.pairing[i, j]), space.ring.eps_den) == phase_pairing(
+                space, g.phase, h.shift)
+    assert all(s.pairing.any() for _, s in cases[2:])
 
 
 def test_phase_fix_returns_scalar_free_groups_untouched(z4_line):
