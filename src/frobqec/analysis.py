@@ -58,10 +58,10 @@ def css_verdict(space: PhaseSpace, l: Submodule) -> CssVerdict:
         raise InvalidInputError("the CSS test takes a label module in the doubled space")
     if not is_isotropic(space, l):
         raise InvalidInputError("the CSS test takes an isotropic label module")
-    # A label's index is shift + |H| * phase, so the pure parts are masks.
-    zero = space.vector_index(space.zero_vector())
+    # A label's index is shift + |H| * phase, so the pure parts are masks;
+    # the zero vector is index 0 (``_validate_ring`` refuses any other zero).
     phase, shift = np.divmod(l.indices, space.size)
-    shift_part, phase_part = shift[phase == zero], phase[shift == zero]
+    shift_part, phase_part = shift[phase == 0], phase[shift == 0]
     # (a, b) -> a and b are separately injective on A + B, so the sum
     # has |A| * |B| elements; matching |L| makes the pure parts generate.
     if shift_part.size * phase_part.size == len(l):
@@ -399,7 +399,6 @@ def submodule_census(space: PhaseSpace, max_elems: int) -> CensusReport:
     # Row b, column a: the pairing of phase b with shift a, at label index a + |H| * b.
     own = pairing_turn_numerators(space, space.coords, space.coords)
     anticommuting = own.ravel() > 0
-    zero = space.vector_index(space.zero_vector())
     submodules = isotropic = css = with_witness = 0
     for level in levels:
         for batch in level:
@@ -409,7 +408,8 @@ def submodule_census(space: PhaseSpace, max_elems: int) -> CensusReport:
             pairs = _form(space, gens[:, :, None, r:], gens[:, None, :, :r])
             rows = batch.indices[(pairs == pairs.transpose(0, 2, 1)).all(axis=(1, 2))]
             phase, shift = np.divmod(rows, space.size)
-            split = (phase == zero).sum(axis=1) * (shift == zero).sum(axis=1) == rows.shape[1]
+            # The zero vector is index 0 (``_validate_ring`` refuses any other zero).
+            split = (phase == 0).sum(axis=1) * (shift == 0).sum(axis=1) == rows.shape[1]
             isotropic += len(rows)
             css += int(split.sum())
             with_witness += int(anticommuting[rows[~split]].any(axis=1).sum())

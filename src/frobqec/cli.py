@@ -3,9 +3,9 @@
 One JSON scenario drives every command.  It names a ring family, a
 space (k, n, optional form matrix), and optionally a code, a stabiliser
 generator list, and an ideal; each command picks the parts it needs.
-Turns are serialised as "num/den" strings and ring elements in the
-family notation (integers for zm, coefficient lists for chain rings,
-pairs for products).
+Turns are serialised as "num/den" strings, and ring elements in the
+one layout of ``RingSpec.element_layout`` (integers for zm, coefficient
+lists for chain rings, pairs for products); other shapes are refused.
 
 Exit codes: 0 for an affirmative verdict, 1 for a definite negative
 one, 2 for invalid input (an argv error also prints a usage line), 3 for
@@ -19,9 +19,9 @@ byte-identical to ``json.dumps(report, sort_keys=True, indent=2)``, which
 the indent keeps on the stdlib's pure-Python encoder; strings go through
 the C ``encode_basestring_ascii``.  The ring report's two per-element
 lists, ``character`` and ``nilradical``, are rows (``_Rows``): the
-family's element layout from ``rings.element_rows`` becomes one format
-template, filled from one digits array, with the character turns reduced
-by one ``np.gcd``.  Text mode builds only the 16 entries it shows.
+shape of that layout becomes one format template, filled from the digits
+array of ``rings.element_rows``, with the character turns reduced by one
+``np.gcd``.  Text mode builds only the 16 entries it shows.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ temporary.
 Three families are provided: integers mod m, chain rings Z_m[u]/(u^e)
 with the top-coefficient character, and binary products.  Each supplies
 only its radices, structure constants, one and character.  Every family
-keeps a small ``family`` descriptor that doubles as its JSON document.
+keeps a small ``family`` descriptor that doubles as its JSON document,
+and one layout of its element documents (``_element_layout``), which
+every reader and writer of them walks.
 """
 
 from __future__ import annotations
@@ -191,11 +193,23 @@ class RingSpec:
     def elements(self) -> range:
         return range(self.size)
 
+    @functools.cached_property
+    def element_layout(self) -> tuple[object, tuple[tuple[int, int], ...]]:
+        """The shape of the family's element documents (``_element_layout``)
+        and the weight W_i and radix r_i of each field's digit, in field
+        order: every element document is read and written through it."""
+        shape, order = _element_layout(self.family)
+        return shape, tuple((math.prod(self.radices[:i]), self.radices[i]) for i in order)
+
     def element_to_doc(self, x: int):
-        return element_to_doc(self.family, x)
+        """The layout with each field holding its digit of x."""
+        shape, fields = self.element_layout
+        return _fill(shape, int(x), iter(fields))
 
     def element_from_doc(self, doc) -> int:
-        return element_from_doc(self.family, doc)
+        """The element whose digits the fields hold, each mod its radix."""
+        shape, fields = self.element_layout
+        return _read(shape, doc, iter(fields))
 
     def element_str(self, x: int) -> str:
         return repr(self.element_to_doc(x))
@@ -673,38 +687,13 @@ def _check_ideal(ring: RingSpec, elems: np.ndarray, spanning=None) -> np.ndarray
 # ---------------------------------------------------------------------------
 # element documents
 
-def family_size(family: dict) -> int:
-    kind = family.get("family")
-    if kind == "zm":
-        return family["m"]
-    if kind == "chain":
-        return family["m"] ** family["e"]
-    if kind == "product":
-        left, right = family["factors"]
-        return family_size(left) * family_size(right)
-    raise InvalidInputError(f"unknown ring family {kind!r}")
-
-
-def element_to_doc(family: dict, x: int):
-    kind = family["family"]
-    if kind == "zm":
-        return int(x)
-    if kind == "chain":
-        m, e = family["m"], family["e"]
-        return [int(x) // m**i % m for i in range(e)]
-    if kind == "product":
-        left, right = family["factors"]
-        s2 = family_size(right)
-        return [element_to_doc(left, x // s2), element_to_doc(right, x % s2)]
-    raise InvalidInputError(f"unknown ring family {kind!r}")
-
-
 def _element_layout(family: dict) -> tuple[object, list[int]]:
-    """How ``element_to_doc`` lays out the ring digits: the shape of a
-    document with a ``"{}"`` format field for each integer, and the digit
-    that each field reads, depth first.  A zm element is its one digit, a
-    chain element its coefficients, digits 0 to e-1; a product puts the
-    left factor's document, on the high digits, before the right's."""
+    """The one description of a family's element documents: their shape,
+    with a ``"{}"`` format field for each integer, and the digit that each
+    field holds, depth first.  A zm element is its one digit, a chain
+    element its coefficients, digits 0 to e-1; a product puts the left
+    factor's document, on the high digits, before the right's.  A new
+    family needs one case here, beside its constructor."""
     kind = family["family"]
     if kind == "zm":
         return "{}", [0]
@@ -716,34 +705,33 @@ def _element_layout(family: dict) -> tuple[object, list[int]]:
     raise InvalidInputError(f"unknown ring family {kind!r}")
 
 
+def _fill(shape, x: int, fields):
+    """The document of x of this shape, its fields read from ``fields``."""
+    if isinstance(shape, str):
+        weight, radix = next(fields)
+        return x // weight % radix
+    return [_fill(item, x, fields) for item in shape]
+
+
+def _read(shape, doc, fields) -> int:
+    """The element of ``doc``, a document of this shape, read as ``_fill``
+    writes it.  Anything but an int at a field or a list of the shape's
+    length at a list is refused, quoting the part that does not fit."""
+    if isinstance(shape, str):
+        if isinstance(doc, int) and not isinstance(doc, bool):
+            weight, radix = next(fields)
+            return doc % radix * weight
+    elif isinstance(doc, list) and len(doc) == len(shape):
+        return sum(_read(item, part, fields) for item, part in zip(shape, doc))
+    expected = "an integer" if isinstance(shape, str) else f"a list of {len(shape)} entries"
+    raise InvalidInputError(f"expected {expected} in an element document, got {doc!r}")
+
+
 def element_rows(ring: RingSpec, elems) -> tuple[object, np.ndarray]:
-    """The documents of ``elems`` in one array step: the family's layout
-    (``_element_layout``) and one row of its fields per element, read
-    from one digits array.  Filling the layout with a row gives
+    """The documents of ``elems`` in one array step: the shape of
+    ``RingSpec.element_layout`` and one row of its fields per element,
+    read from one digits array.  Filling the shape with a row gives
     ``element_to_doc`` of that element."""
-    layout, order = _element_layout(ring.family)
-    elems = np.asarray(elems, dtype=np.int64).reshape(-1, 1)
-    return layout, elems // ring.weights()[order] % np.array(ring.radices)[order]
-
-
-def element_from_doc(family: dict, doc) -> int:
-    kind = family["family"]
-    if kind == "zm":
-        if not isinstance(doc, int) or isinstance(doc, bool):
-            raise InvalidInputError(f"expected an integer element, got {doc!r}")
-        return doc % family["m"]
-    if kind == "chain":
-        m, e = family["m"], family["e"]
-        if not isinstance(doc, list) or len(doc) != e:
-            raise InvalidInputError(f"expected {e} coefficients, got {doc!r}")
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in doc):
-            raise InvalidInputError(f"coefficients must be integers, got {doc!r}")
-        return sum(c % m * m**i for i, c in enumerate(doc))
-    if kind == "product":
-        left, right = family["factors"]
-        if not isinstance(doc, list) or len(doc) != 2:
-            raise InvalidInputError(f"expected a two component element, got {doc!r}")
-        return element_from_doc(left, doc[0]) * family_size(right) + element_from_doc(
-            right, doc[1]
-        )
-    raise InvalidInputError(f"unknown ring family {kind!r}")
+    shape, fields = ring.element_layout
+    weights, radices = np.array(fields, dtype=np.int64).T
+    return shape, np.asarray(elems, dtype=np.int64).reshape(-1, 1) // weights % radices

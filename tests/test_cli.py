@@ -626,7 +626,7 @@ _BAD_IDEALS = [5, [], {}, {"generators": 5}, {"generators": [], "x": 1}]
 @st.composite
 def _ideal_scenarios(draw):
     family = draw(st.sampled_from(_IDEAL_FAMILIES))
-    size = frobqec.rings.family_size(family)
+    size = ring_from_doc(family).size
     nil = _element_docs(family, unit=False)
     kind = draw(st.sampled_from(["nilpotent", "long", "unit", "malformed", "empty", "document"]))
     extra = {"unit": _element_docs(family, unit=True).map(lambda x: [x]),
@@ -698,7 +698,7 @@ def _any_element(family):
 @st.composite
 def _code_scenarios(draw):
     family = draw(st.sampled_from(_CODE_FAMILIES))
-    size = frobqec.rings.family_size(family)
+    size = ring_from_doc(family).size
     command = draw(st.sampled_from(["code", "isometries"]))
     kind = draw(st.sampled_from(["valid", "long", "malformed", "document", "oversized"]))
     k = draw(st.integers(1, 3 if size <= 12 else 1))
@@ -733,8 +733,9 @@ def test_code_commands_fuzz(case):
     # other code gets a verdict: isometries preserve self-orthogonality.
     command, kind, doc = case
     ring, space = doc["ring"], doc["space"]
-    size = frobqec.rings.family_size(ring) ** (space["k"] * space["n"])
-    scan = frobqec.rings.family_size(ring) ** (space["k"] ** 2)
+    ring_size = ring_from_doc(ring).size
+    size = ring_size ** (space["k"] * space["n"])
+    scan = ring_size ** (space["k"] ** 2)
     text = json.dumps(doc)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "scenario.json")
@@ -784,7 +785,7 @@ def _stabiliser_scenarios(draw):
     kind = draw(st.sampled_from(["valid", "long", "malformed", "document", "bound"]))
     family = draw(st.sampled_from(_STABILISER_FAMILIES[:1] if kind == "bound"
                                   else _STABILISER_FAMILIES))
-    size = frobqec.rings.family_size(family)
+    size = ring_from_doc(family).size
     n = _PAST_BOUND if kind == "bound" else draw(st.integers(1, 3 if size == 2 else 1))
     vector = st.lists(_any_element(family), min_size=n, max_size=n)
     generator = st.fixed_dictionaries({"a": vector, "b": vector}, optional={"turn": _TURNS})

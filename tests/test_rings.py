@@ -32,10 +32,9 @@ from frobqec import (
 )
 from frobqec import rings
 from frobqec.rings import (
+    _element_layout,
     digits,
-    element_from_doc,
     element_rows,
-    element_to_doc,
     index_span,
     indices_of,
 )
@@ -160,12 +159,26 @@ def test_element_docs_round_trip(z4, f2u, z6):
             assert ring.element_from_doc(ring.element_to_doc(x)) == x
 
 
+# make_product(R_1, R_2) indexes (a, b) as a |R_2| + b, so in
+# product(Z_5, product(Z_2, chain(3, 2))) the document [a, [b, [c0, c1]]]
+# is the element 18 a + 9 b + c0 + 3 c1.
+def _nested():
+    return make_product(make_zm(5), make_product(make_zm(2), make_chain_ring(3, 2)))
+
+
 def test_element_doc_shapes():
-    fam_chain = {"family": "chain", "m": 2, "e": 2}
-    assert element_to_doc(fam_chain, 2) == [0, 1]
-    assert element_from_doc(fam_chain, [1, 1]) == 3
-    fam_prod = {"family": "product", "factors": [{"family": "zm", "m": 2}, {"family": "zm", "m": 3}]}
-    assert element_to_doc(fam_prod, 5) == [1, 2]
+    for build, pinned in [
+        (lambda: make_zm(12), {0: 0, 7: 7, 11: 11}),
+        (lambda: make_chain_ring(3, 3), {11: [2, 0, 1], 24: [0, 2, 2], 26: [2, 2, 2]}),
+        (_nested, {3: [0, [0, [0, 1]]], 27: [1, [1, [0, 0]]], 61: [3, [0, [1, 2]]],
+                   86: [4, [1, [2, 1]]]}),
+    ]:
+        ring = build()
+        layout, fields = element_rows(ring, list(pinned))
+        for (x, doc), row in zip(pinned.items(), fields.tolist()):
+            assert ring.element_to_doc(x) == doc
+            assert ring.element_from_doc(doc) == x
+            assert _fill(layout, iter(row)) == doc
 
 
 def _fill(layout, fields):
@@ -206,7 +219,29 @@ def test_element_from_doc_rejects_junk(z4, f2u, z6):
     with pytest.raises(InvalidInputError):
         z6.element_from_doc([1, 2, 3])
     with pytest.raises(InvalidInputError):
-        element_from_doc({"family": "weird"}, 0)
+        _element_layout({"family": "weird"})
+
+
+# Each nesting level of _nested()'s documents, [a, [b, [c0, c1]]], with
+# the part of the document that is refused.
+_BAD_NESTED = [
+    (True, True), (2.5, 2.5), ("1", "1"), (None, None), (7, 7),
+    ([1, [1, [0, 0]], 0], [1, [1, [0, 0]], 0]), ([1], [1]),
+    ([True, [1, [0, 0]]], True), ([2.5, [1, [0, 0]]], 2.5), (["1", [1, [0, 0]]], "1"),
+    ([None, [1, [0, 0]]], None), ([[1], [1, [0, 0]]], [1]),
+    ([1, 5], 5), ([1, [1]], [1]), ([1, None], None), ([1, "x"], "x"),
+    ([1, [False, [0, 0]]], False), ([1, [1.0, [0, 0]]], 1.0), ([1, [[0], [0, 0]]], [0]),
+    ([1, [1, 7]], 7), ([1, [1, [0]]], [0]), ([1, [1, [0, 0, 0]]], [0, 0, 0]),
+    ([1, [1, (0, 0)]], (0, 0)), ([1, [1, [0, 0.5]]], 0.5), ([1, [1, [0, "0"]]], "0"),
+    ([1, [1, [None, 0]]], None), ([1, [1, [True, 0]]], True), ([1, [1, [0, [0]]]], [0]),
+]
+
+
+@pytest.mark.parametrize("doc, part", _BAD_NESTED)
+def test_element_from_doc_refuses_each_level(doc, part):
+    with pytest.raises(InvalidInputError) as info:
+        _nested().element_from_doc(doc)
+    assert repr(part) in str(info.value)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,14 @@ def test_submodule_sorts_and_dedupes_indices(z4_pair):
     assert given.elements == ((0, 0), (0, 2), (2, 0), (2, 2))
 
 
+def test_submodule_contains_only_integral_coordinates(z4_pair):
+    module = submodule_span(z4_pair, [(2, 0)])
+    assert (2, 0) in module and (np.int64(2), np.uint8(0)) in module
+    # 2.5 would truncate to 2; a float is refused, as Submodule's indices are.
+    for v in [(2.5, 0), (2.0, 0), (6, 0), (-2, 0), (2, 4)]:
+        assert v not in module
+
+
 def test_submodule_refuses_anything_but_indices(z4_pair):
     for bad in ([(0, 0), (2, 0)], [0.0, 2.0], [0, 16], [-1, 0]):
         with pytest.raises(InvalidInputError):
