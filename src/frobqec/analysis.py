@@ -15,10 +15,8 @@ from .spaces import (
     Submodule,
     Vector,
     _check_vector,
-    _first_nontrivial,
-    _first_turn,
     _form,
-    carrier_pairings,
+    form_many,
     identity_form,
     is_self_orthogonal,
     orthogonal,
@@ -31,7 +29,6 @@ from .weyl import (
     StabiliserGroup,
     WeylElement,
     is_isotropic,
-    noncommutativity_witness,
     split_label,
 )
 
@@ -72,7 +69,7 @@ def css_verdict(space: PhaseSpace, l: Submodule) -> CssVerdict:
     # pairs non-trivially with its own shift.
     rows = l.rows
     own = _form(space, rows[:, space.rank :], rows[:, : space.rank])
-    hits = np.flatnonzero(space.ring.eps_num[own] % space.ring.eps_den)
+    hits = np.flatnonzero(space.ring.eps_num[own])
     witness = split_label(space, tuple(rows[hits[0]].tolist())) if hits.size else None
     return CssVerdict("non_css", None, witness)
 
@@ -82,10 +79,10 @@ def css_verdict(space: PhaseSpace, l: Submodule) -> CssVerdict:
 
 @dataclass(frozen=True)
 class ProtectionReport:
-    """Result of the error-protection sweep for a nil ideal.
+    """Result of the error-protection check for a nil ideal.
 
-    ``counterexample`` is the first (error phase, code vector) pair with
-    a non-trivial commutation turn, so ``passed`` means none exists.
+    ``counterexample``, an admissible error that disturbs the code, cannot
+    exist and is always None, so ``passed`` rests on self-orthogonality.
     ``demo`` exhibits a non-admissible error that does disturb the code,
     showing the admissibility restriction is doing real work.
     """
@@ -115,53 +112,45 @@ def nilpotent_code(space: PhaseSpace, ideal: Ideal) -> Submodule:
 def check_nilpotent_protection(space: PhaseSpace, ideal: Ideal) -> ProtectionReport:
     """Verify that admissible errors cannot disturb the ideal's code.
 
-    An error label (a, b) is admissible when its phase half b pairs
-    trivially with the code; the swept commutation scalar
-    omega((u, 0), (a, b)) depends only on b and u, so the scan runs over
-    the orthogonal complement against the code.
+    An error label (a, b) is admissible when its phase half b lies in
+    ``orthogonal(space, code)``; the swept commutation scalar
+    omega((u, 0), (a, b)) depends only on b and u, and ``orthogonal``
+    keeps exactly the b pairing trivially with the code, so no admissible
+    error disturbs it and ``counterexample`` is None.
     """
     code = nilpotent_code(space, ideal)
-    index = nilpotency_index(ideal)
-    square_zero = index <= 2
+    square_zero = nilpotency_index(ideal) <= 2
     self_orth = is_self_orthogonal(space, code) if square_zero else None
-    perp = orthogonal(space, code)
-
-    if len(code) * len(perp) > (1 << 22):
-        raise ResourceLimitError("protection scan is out of bounds")
-
-    counterexample, demo = _protection_scans(space, code, perp)
-
-    passed = counterexample is None and (self_orth is not False)
     return ProtectionReport(
-        passed=passed,
+        passed=self_orth is not False,
         code_size=len(code),
         square_zero=square_zero,
         self_orthogonal=self_orth,
-        counterexample=counterexample,
-        demo=demo,
+        counterexample=None,
+        demo=_protection_demo(space, code),
     )
 
 
-def _protection_scans(space: PhaseSpace, code: Submodule, perp: Submodule):
-    """The first (error phase b, code vector u, turn -<b, u>) with a
-    non-trivial turn, u in ``elements`` order: b over ``perp`` in its
-    ``elements`` order (the counterexample) and, for a non-trivial code, b
-    outside ``perp`` in carrier order (the demo), from a
-    ``carrier_pairings`` sweep against the code masked to those b."""
-    ring, code_rows = space.ring, code.rows
-    hit = _first_nontrivial(space, perp.rows, code_rows)
-    found = None if hit is None else (hit[0], hit[1], -ring.epsilon(hit[2]))
+def _protection_demo(space: PhaseSpace, code: Submodule):
+    """(b, u, -<b, u>) for b the least index outside the complement
+    ``orthogonal(space, code)`` and u the first code vector, in
+    ``elements`` order, with a non-trivial turn; None for the zero code.
+    A b outside the complement has form(b, g) != 0 for some code vector
+    g; the character is generating, so some r g pairs non-trivially."""
+    ring = space.ring
     if len(code) == 1:
-        return found, None
-    outside = np.ones(space.size, dtype=bool)
-    outside[perp.indices] = False
-    for start, col, values in carrier_pairings(space, code_rows):
-        at = _first_turn(ring, values, outside[start : start + len(values), None])
-        if at is not None:
-            b = digits(start + at[0], ring.size, space.rank)[0]
-            return found, (tuple(b.tolist()), tuple(code_rows[col + at[1]].tolist()),
-                           -ring.epsilon(values[at]))
-    return found, None
+        return None
+    perp = orthogonal(space, code)
+    # The least index outside perp is the first position where the sorted
+    # perp.indices leave 0, 1, 2, ...; |H| (perp = H) wraps to zero.
+    gaps = np.flatnonzero(perp.indices != np.arange(len(perp)))
+    b = digits(gaps[0] if gaps.size else len(perp), ring.size, space.rank)
+    rows = code.rows
+    values = form_many(space, b, rows)[0]
+    hits = np.flatnonzero(ring.eps_num[values])
+    if not hits.size:
+        raise ConsistencyError("no code vector is disturbed by an error outside the complement")
+    return tuple(b[0].tolist()), tuple(rows[hits[0]].tolist()), -ring.epsilon(values[hits[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +160,9 @@ def _protection_scans(space: PhaseSpace, code: Submodule, perp: Submodule):
 class InvariantReport:
     """Three structure constants recoverable from the operator algebra:
     the free rank per site, the nilpotency index of the ring's
-    nilradical, and whether any shift/phase pair fails to commute."""
+    nilradical, and the commutator depth, always 2: the form is perfect
+    and the character generating, so the shift W_0 e_0 has a phase
+    partner it fails to commute with (``noncommutativity_witness``)."""
 
     frobenius_rank: int
     nilpotent_height: int
@@ -179,12 +170,10 @@ class InvariantReport:
 
 
 def invariants(space: PhaseSpace) -> InvariantReport:
-    height = nilpotency_index(nilradical(space.ring))
-    depth = 2 if noncommutativity_witness(space) is not None else 1
     return InvariantReport(
         frobenius_rank=space.k,
-        nilpotent_height=height,
-        commutator_depth=depth,
+        nilpotent_height=nilpotency_index(nilradical(space.ring)),
+        commutator_depth=2,
     )
 
 

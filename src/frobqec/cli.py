@@ -464,8 +464,6 @@ def cmd_protect(scenario: Scenario, args) -> tuple[int, dict, list[str]]:
         f"code size: {outcome.code_size}",
         f"protection: {'pass' if outcome.passed else 'FAIL'}",
     ]
-    if outcome.counterexample is not None:
-        lines.append(f"counterexample: {report['counterexample']}")
     if outcome.demo is not None:
         lines.append(f"non-admissible disturbance: {report['demo']}")
     return (EXIT_OK if outcome.passed else EXIT_NEGATIVE), report, lines

@@ -231,30 +231,6 @@ def _form(space: PhaseSpace, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_nontrivial(space: PhaseSpace, rows: np.ndarray, cols: np.ndarray):
-    """The first (rows[i], cols[j]) in row-major order whose pairing turn
-    is non-trivial, as tuples, with their form value, or None;
-    ``form_many`` runs on blocks of at most BLOCK entries."""
-    chunk = max(1, BLOCK // max(1, len(cols)))
-    for start in range(0, len(rows), chunk):
-        block = rows[start : start + chunk]
-        for col in range(0, len(cols), BLOCK):
-            values = form_many(space, block, cols[col : col + BLOCK])
-            hit = _first_turn(space.ring, values)
-            if hit is not None:
-                i, j = hit
-                return tuple(block[i].tolist()), tuple(cols[col + j].tolist()), int(values[i, j])
-    return None
-
-
-def _first_turn(ring: RingSpec, values: np.ndarray, keep=True):
-    """(i, j) of the first entry of a block of form values, in row-major
-    order, whose turn is non-trivial and ``keep`` holds, or None."""
-    hits = (ring.eps_num % ring.eps_den != 0).take(values) & keep
-    at = int(hits.argmax())
-    return np.unravel_index(at, hits.shape) if hits.flat[at] else None
-
-
 def carrier_pairings(space: PhaseSpace, probes):
     """form(v, w) for every v of H in index order against one or more
     probes w, as row-major (start, col, values) blocks of at most BLOCK
@@ -305,7 +281,7 @@ def pairing_turn_numerators(space: PhaseSpace, rows, cols) -> np.ndarray:
     """Pairwise pairing turns as numerators over the ring's shared
     denominator; zero means a trivial pairing."""
     ra, ca = (np.asarray(v, dtype=np.int64).reshape(-1, space.rank) for v in (rows, cols))
-    return space.ring.eps_num[form_many(space, ra, ca)] % space.ring.eps_den
+    return space.ring.eps_num[form_many(space, ra, ca)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +429,7 @@ def _trivial(space: PhaseSpace, values: np.ndarray, r_closed: bool) -> np.ndarra
     so a zero turn on a set generating (M, +) is zero on all of M.
     """
     ring = space.ring
-    return values == ring.zero if r_closed else ring.eps_num[values] % ring.eps_den == 0
+    return values == ring.zero if r_closed else ring.eps_num[values] == 0
 
 
 def orthogonal(space: PhaseSpace, code: Submodule) -> Submodule:

@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import spaces
 from .errors import ConsistencyError, InvalidInputError, ResourceLimitError
 from .rings import TURN_ZERO, Turn, digits, index_span, indices_of
 from .spaces import (
@@ -40,9 +39,7 @@ from .spaces import (
     Submodule,
     Vector,
     _check_vector,
-    _first_turn,
     _form,
-    _trivial,
     carrier_pairings,
     pairing_turn_numerators,
     phase_pairing,
@@ -385,17 +382,20 @@ def is_isotropic(space: PhaseSpace, l: Submodule) -> bool:
     """Whether omega vanishes identically on the module.
 
     omega((a, b), (a', b')) is the turn of form(b, a') - form(b', a), a
-    difference of two forms, so it is biadditive, and on a scalar-closed
-    module it vanishes iff that ring value does (``spaces._trivial``):
-    one ``_form`` call over the pairs of ``l.spanning`` settles it, as in
-    ``analysis.submodule_census``.
+    difference of two forms, so it is biadditive and vanishes on the
+    module iff it does on the pairs of ``l.spanning``.  On a
+    scalar-closed module the form values there must equal their
+    transpose, since eps(r x) = 0 for every scalar r only if x = 0 (the
+    character is generating); on an additive one only their turn
+    numerators must, as in ``analysis.submodule_census``.
     """
     if not l.doubled:
         raise InvalidInputError("isotropy applies to label modules in the doubled space")
-    ring, rows, r = space.ring, l.spanning, space.rank
+    rows, r = l.spanning, space.rank
     values = _form(space, rows[:, None, r:], rows[None, :, :r])
-    return bool(_trivial(space, ring.add_many(values, ring.neg_table[values.T]),
-                         l.r_closed).all())
+    if not l.r_closed:
+        values = space.ring.eps_num[values]
+    return bool((values == values.T).all())
 
 
 def stabiliser_of_labels(space: PhaseSpace, l: Submodule,
@@ -456,23 +456,21 @@ def code_dimension(space: PhaseSpace, s: StabiliserGroup) -> int:
     return quotient
 
 
-def noncommutativity_witness(space: PhaseSpace) -> LabelPair | None:
+def noncommutativity_witness(space: PhaseSpace) -> LabelPair:
     """First (a, b) in enumeration order whose shift and phase refuse to
-    commute, i.e. with a non-trivial pairing turn.  The a come
-    max(1, BLOCK // |H|) at a time as the probes of a ``carrier_pairings``
-    sweep over b.  The form is symmetric, so the sweep's values transposed
-    are the <a, b>; they form one block (several a) or blocks along b (one
-    a), so the first hit found is the first in row-major order."""
-    m, rank, size = space.ring.size, space.rank, space.size
-    chunk = max(1, spaces.BLOCK // size)
-    for first in range(0, size, chunk):
-        rows = digits(np.arange(first, min(first + chunk, size)), m, rank)
-        for start, _, values in carrier_pairings(space, rows):
-            hit = _first_turn(space.ring, values.T)
-            if hit is not None:
-                j, i = hit
-                return tuple(rows[j].tolist()), tuple(digits(start + i, m, rank)[0].tolist())
-    return None
+    commute, i.e. with a non-trivial pairing turn.  a = 0 pairs trivially
+    with every b, and a = index 1 is W_0 e_0 != 0: the form is perfect, so
+    form(a, w) != 0 for some w, and the character is generating, so some
+    b = r w pairs non-trivially with a.  So b is the first hit of one
+    ``carrier_pairings`` sweep against that a; the form is symmetric, so
+    the sweep's form(b, a) are the <a, b>."""
+    m, rank = space.ring.size, space.rank
+    a = digits(1, m, rank)
+    for start, _, values in carrier_pairings(space, a):
+        hits = np.flatnonzero(space.ring.eps_num[values[:, 0]])
+        if hits.size:
+            return tuple(a[0].tolist()), tuple(digits(start + hits[0], m, rank)[0].tolist())
+    raise ConsistencyError("no phase pairs non-trivially with a non-zero shift")
 
 
 def reconstruct_pairing(space: PhaseSpace) -> dict[tuple[Vector, Vector], Turn]:

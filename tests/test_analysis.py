@@ -52,7 +52,7 @@ from frobqec import (
     weyl_element,
 )
 from frobqec import analysis, cli, spaces, weyl
-from frobqec.analysis import _protection_scans
+from frobqec.analysis import _protection_demo
 
 from conftest import apply_by_hand, std_space, vectors
 
@@ -618,10 +618,11 @@ def test_module_sweeps_match_reference_loops(request, ring_name, k, n):
     space = std_space(ring, k, n)
     assert noncommutativity_witness(space) == _noncommutativity_by_loop(space)
 
+    # ``_protection_demo`` is only ever given a code and its complement.
     plain = enumerate_submodules(space)
     for code in plain:
-        for perp in plain:
-            assert _protection_scans(space, code, perp) == _scans_by_loop(space, code, perp)
+        perp = orthogonal(space, code)
+        assert (None, _protection_demo(space, code)) == _scans_by_loop(space, code, perp)
     for x in nilradical(ring).elements:
         ideal = ideal_span(ring, [x])
         report = check_nilpotent_protection(space, ideal)
@@ -653,16 +654,46 @@ def test_module_sweeps_match_reference_loops(request, ring_name, k, n):
         assert [join_label(e.label) for e in fixed.elements] == list(l.elements)
 
 
-@pytest.mark.parametrize("block", [1, 3, 7])
-def test_first_pair_survives_small_blocks(z4_pair, f2u_plane, monkeypatch, block):
+def _block_spaces():
+    """The Z_4 pair, the f2u plane, the two-site Z_4 form ((1, 1), (1, 2))
+    with an entry other than one (``z4-scaled`` in test_spaces.py), and a
+    Z_2 x chain(2,2) pair."""
+    z4, f2u = make_zm(4), make_chain_ring(2, 2)
+    return [std_space(z4, 1, 2), std_space(f2u, 2, 1), make_space(z4, 2, 2, ((1, 1), (1, 2))),
+            std_space(make_product(make_zm(2), f2u), 1, 2)]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, spaces.BLOCK])
+def test_first_pair_survives_small_blocks(monkeypatch, block):
     # Blocks smaller than one row also split the columns.
     monkeypatch.setattr(spaces, "BLOCK", block)
-    for space in (z4_pair, f2u_plane):
+    for space in _block_spaces():
         assert noncommutativity_witness(space) == _noncommutativity_by_loop(space)
         plain = enumerate_submodules(space)
         for code in plain[:: max(1, len(plain) // 6)]:
-            for perp in plain[:: max(1, len(plain) // 6)]:
-                assert _protection_scans(space, code, perp) == _scans_by_loop(space, code, perp)
+            perp = orthogonal(space, code)
+            assert (None, _protection_demo(space, code)) == _scans_by_loop(space, code, perp)
+        for x in nilradical(space.ring).elements:
+            ideal = ideal_span(space.ring, [x])
+            code = nilpotent_code(space, ideal)
+            report = check_nilpotent_protection(space, ideal)
+            assert (report.counterexample, report.demo) == _scans_by_loop(
+                space, code, orthogonal(space, code))
+
+
+def test_protection_refuses_a_wrong_complement(z4_pair, monkeypatch):
+    # All of H as the complement of the non-trivial code of (2) leaves no
+    # error outside it to disturb the code, so ``orthogonal`` is at fault.
+    everything = orthogonal(z4_pair, submodule_span(z4_pair, []))
+    monkeypatch.setattr(analysis, "orthogonal", lambda space, code: everything)
+    with pytest.raises(ConsistencyError, match="no code vector is disturbed"):
+        check_nilpotent_protection(z4_pair, ideal_span(z4_pair.ring, [2]))
+    # A complement too small: (1, 0), its least index outside, pairs
+    # trivially with the code of (0, 2), so no demo is found.
+    zero = submodule_span(z4_pair, [])
+    monkeypatch.setattr(analysis, "orthogonal", lambda space, code: zero)
+    with pytest.raises(ConsistencyError, match="no code vector is disturbed"):
+        _protection_demo(z4_pair, submodule_span(z4_pair, [(0, 2)]))
 
 
 def test_module_sweeps_make_no_pairing_calls(f2u_line, f2u_plane, z4_pair, monkeypatch):
@@ -684,7 +715,7 @@ def test_module_sweeps_make_no_pairing_calls(f2u_line, f2u_plane, z4_pair, monke
 
 
 def test_carrier_sweeps_leave_the_coordinate_matrix_unbuilt():
-    # 2^16 vectors: the complement, the protection scans and the
+    # 2^16 vectors: the complement, the protection demo and the
     # witness all sweep the carrier without ``space.coords``.
     ring = make_zm(16)
     space = std_space(ring, 1, 4)
@@ -692,5 +723,6 @@ def test_carrier_sweeps_leave_the_coordinate_matrix_unbuilt():
     assert len(code) * len(orthogonal(space, code)) == space.size
     report = check_nilpotent_protection(space, ideal_span(ring, [4]))
     assert report.passed and report.demo is not None
+    assert noncommutativity_witness(space) == ((1, 0, 0, 0), (1, 0, 0, 0))
     assert invariants(space).commutator_depth == 2
     assert "coords" not in vars(space)

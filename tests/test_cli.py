@@ -498,6 +498,16 @@ def test_undecided_and_internal_errors_have_their_own_exits(
     assert "Traceback" not in err
 
 
+def test_protection_fault_is_internal(tmp_path, capsys, monkeypatch):
+    # All of H as the complement leaves no error to disturb the code, so
+    # ``orthogonal`` is wrong.
+    everything = lambda space, code: frobqec.orthogonal(space, frobqec.submodule_span(space, []))
+    monkeypatch.setattr(frobqec.analysis, "orthogonal", everything)
+    code, out, err = _run(capsys, "protect", "--scenario", _write(tmp_path, Z4_SCENARIO))
+    assert (code, out) == (5, "")
+    assert err == "internal error: no code vector is disturbed by an error outside the complement\n"
+
+
 @pytest.mark.parametrize("name, values", [
     ("neg_table", [0, 3, 2, 9]), ("neg_table", [0, 3, 2]), ("eps_num", [0, 1, 2]),
 ], ids=["negation-out-of-range", "short-negation", "short-character"])

@@ -769,6 +769,14 @@ def test_noncommutativity_witness(z4_line, z2_line):
     assert noncommutativity_witness(z2_line) == ((1,), (1,))
 
 
+def test_witness_refuses_a_sweep_with_no_turn(z4_line, monkeypatch):
+    # A perfect form and a generating character leave a = (1,) a partner.
+    zeros = lambda space, probes: iter([(0, 0, np.zeros((space.size, 1), dtype=np.intp))])
+    monkeypatch.setattr(frobqec.weyl, "carrier_pairings", zeros)
+    with pytest.raises(ConsistencyError, match="no phase pairs"):
+        noncommutativity_witness(z4_line)
+
+
 def test_reconstruct_pairing_matches_direct_values(z4_line, f2u_line, z6, f2u):
     # The batched products run on the same form kernel as the reference
     # numerators of the acceptance criteria, so check them against the
